@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "paper_data.hpp"
+#include "paper_sections.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
 using namespace riscmp;
 using namespace riscmp::bench;
@@ -26,8 +25,6 @@ int main(int argc, char** argv) {
   const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
-  const auto& suite = shape.suite;
-  const auto& configs = shape.configs;
 
   verify::FaultBoundary boundary(std::cout);
   engine::mergeIntoBoundary(grid, boundary, std::cout);
@@ -36,52 +33,8 @@ int main(int argc, char** argv) {
             << "Workload sizes are laptop-scale; compare ratios, not\n"
             << "absolute counts (see EXPERIMENTS.md).\n\n";
 
-  std::vector<double> riscvOverArm;
-
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-
-    Table table({"config", "total", "normalised", "per-kernel breakdown",
-                 "paper normalised"});
-    double baseline = 0.0;
-    bool allCells = true;
-
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        allCells = false;
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-"});
-        continue;
-      }
-      const double total = static_cast<double>(cell.instructions);
-      if (c == 0) baseline = total;
-
-      std::string breakdown;
-      for (const auto& kernel : cell.kernels) {
-        if (!breakdown.empty()) breakdown += ", ";
-        breakdown += kernel.name + "=" +
-                     sigFigs(static_cast<double>(kernel.count) / total * 100.0,
-                             3) +
-                     "%";
-      }
-      const double paperNorm =
-          static_cast<double>(kPaperRows[w].pathLength[c]) /
-          static_cast<double>(kPaperRows[w].pathLength[0]);
-      table.addRow({configName(configs[c]), withCommas(cell.instructions),
-                    baseline > 0.0 ? sigFigs(total / baseline, 4) : "-",
-                    breakdown, sigFigs(paperNorm, 4)});
-    }
-    std::cout << table << "\n";
-
-    // GCC12 RISC-V / AArch64; only meaningful when all four cells ran.
-    if (allCells) {
-      riscvOverArm.push_back(
-          static_cast<double>(grid.at(w, 3).instructions) /
-          static_cast<double>(grid.at(w, 2).instructions));
-    }
-  }
-
+  const std::vector<double> riscvOverArm =
+      renderPathLengths(std::cout, grid, shape);
   if (!riscvOverArm.empty()) {
     std::size_t aggregated = 0;
     const double geomean = geometricMean(riscvOverArm, &aggregated);

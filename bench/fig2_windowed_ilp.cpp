@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "support/table.hpp"
+#include "paper_sections.hpp"
 
 using namespace riscmp;
 using namespace riscmp::bench;
@@ -23,12 +23,9 @@ int main(int argc, char** argv) {
                   {Arch::Rv64, kgen::CompilerEra::Gcc12}};
   spec.analyses = engine::kWindowedCP;
   spec.windowSizes = WindowedCPAnalyzer::paperWindowSizes();
-  const auto& windowSizes = spec.windowSizes;
   const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
-  const auto& suite = shape.suite;
-  const auto& configs = shape.configs;
 
   verify::FaultBoundary boundary(std::cout);
   engine::mergeIntoBoundary(grid, boundary, std::cout);
@@ -36,46 +33,7 @@ int main(int argc, char** argv) {
   std::cout << "E4: windowed critical-path mean ILP (paper Figure 2, "
                "GCC 12.2 binaries)\n\n";
 
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    std::vector<std::string> header = {"config"};
-    for (const auto size : windowSizes) {
-      header.push_back("W=" + std::to_string(size));
-    }
-    Table table(header);
-
-    bool allCells = true;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        allCells = false;
-        std::vector<std::string> failedRow = {configName(configs[c]),
-                                              failedCellMark(cell)};
-        while (failedRow.size() < header.size()) failedRow.push_back("-");
-        table.addRow(std::move(failedRow));
-        continue;
-      }
-      std::vector<std::string> row = {configName(configs[c])};
-      for (const auto& result : cell.windows) {
-        row.push_back(engine::windowIlpCell(result));
-      }
-      table.addRow(std::move(row));
-    }
-    // RISC-V-minus-AArch64 advantage per window size (needs both configs,
-    // and only windows that filled on both).
-    if (allCells) {
-      const auto& arm = grid.at(w, 0).windows;
-      const auto& riscv = grid.at(w, 1).windows;
-      std::vector<std::string> deltaRow = {"RISC-V vs AArch64"};
-      for (std::size_t i = 0; i < windowSizes.size(); ++i) {
-        deltaRow.push_back(arm[i].windows != 0 && riscv[i].windows != 0
-                               ? percentDelta(riscv[i].meanIlp, arm[i].meanIlp)
-                               : "-");
-      }
-      table.addRow(std::move(deltaRow));
-    }
-    std::cout << table << "\n";
-  }
+  renderWindowedIlp(std::cout, grid, shape, spec.windowSizes, 0, 1);
 
   std::cout << "Paper trend: at window sizes <= 500 RISC-V has more ILP, "
                "with AArch64 overtaking at larger windows; the largest gap\n"

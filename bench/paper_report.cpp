@@ -13,9 +13,8 @@
 #include <optional>
 
 #include "harness.hpp"
-#include "paper_data.hpp"
+#include "paper_sections.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 #include "uarch/core_model.hpp"
 
 using namespace riscmp;
@@ -33,7 +32,6 @@ int main(int argc, char** argv) {
   spec.windowSizes = WindowedCPAnalyzer::paperWindowSizes();
   spec.modelA64 = "tx2";
   spec.modelRv64 = "riscv-tx2";
-  const auto& windowSizes = spec.windowSizes;
   verify::FaultBoundary boundary(std::cout);
 
   // Render-side loads (the "Latencies:" header); execution loads its own
@@ -51,8 +49,6 @@ int main(int argc, char** argv) {
       runGridSpec(spec, argc, argv, {"--scale=", "--config-dir="});
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
-  const auto& suite = shape.suite;
-  const auto& configs = shape.configs;
   engine::mergeIntoBoundary(grid, boundary, std::cout);
 
   std::cout << "Paper reproduction: all four experiments from one "
@@ -64,45 +60,8 @@ int main(int argc, char** argv) {
 
   // ---- E1: path lengths (Figure 1 / Table 1) ----------------------------
   std::cout << "---- E1: path lengths per kernel (paper Figure 1) ----\n\n";
-  std::vector<double> riscvOverArm;
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    Table table({"config", "total", "normalised", "per-kernel breakdown",
-                 "paper normalised"});
-    double baseline = 0.0;
-    bool allCells = true;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        allCells = false;
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-"});
-        continue;
-      }
-      const double total = static_cast<double>(cell.instructions);
-      if (c == 0) baseline = total;
-      std::string breakdown;
-      for (const auto& kernel : cell.kernels) {
-        if (!breakdown.empty()) breakdown += ", ";
-        breakdown += kernel.name + "=" +
-                     sigFigs(static_cast<double>(kernel.count) / total * 100.0,
-                             3) +
-                     "%";
-      }
-      const double paperNorm =
-          static_cast<double>(kPaperRows[w].pathLength[c]) /
-          static_cast<double>(kPaperRows[w].pathLength[0]);
-      table.addRow({configName(configs[c]), withCommas(cell.instructions),
-                    baseline > 0.0 ? sigFigs(total / baseline, 4) : "-",
-                    breakdown, sigFigs(paperNorm, 4)});
-    }
-    std::cout << table << "\n";
-    if (allCells) {
-      riscvOverArm.push_back(
-          static_cast<double>(grid.at(w, 3).instructions) /
-          static_cast<double>(grid.at(w, 2).instructions));
-    }
-  }
+  const std::vector<double> riscvOverArm =
+      renderPathLengths(std::cout, grid, shape);
   if (!riscvOverArm.empty()) {
     std::size_t aggregated = 0;
     const double geomean = geometricMean(riscvOverArm, &aggregated);
@@ -120,27 +79,7 @@ int main(int argc, char** argv) {
 
   // ---- E2: critical paths (Table 1) -------------------------------------
   std::cout << "---- E2: critical paths and ILP (paper Table 1) ----\n\n";
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    Table table({"config", "path length", "CP", "ILP", "2GHz runtime (ms)",
-                 "paper ILP", "paper runtime (ms)"});
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-", "-", "-"});
-        continue;
-      }
-      table.addRow(
-          {configName(configs[c]), withCommas(cell.instructions),
-           withCommas(cell.criticalPath), sigFigs(cell.ilp(), 3),
-           sigFigs(engine::CellResult::runtimeSeconds(cell.criticalPath) * 1e3,
-                   3),
-           sigFigs(kPaperRows[w].ilp[c], 3),
-           sigFigs(kPaperRows[w].runtimeMs[c], 3)});
-    }
-    std::cout << table << "\n";
-  }
+  renderCriticalPaths(std::cout, grid, shape);
 
   // ---- E3: scaled critical paths (Table 2) ------------------------------
   std::cout << "---- E3: scaled critical paths (paper Table 2) ----\n";
@@ -149,72 +88,13 @@ int main(int argc, char** argv) {
               << "\n";
   }
   std::cout << "\n";
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    Table table({"config", "scaled CP", "ILP", "2GHz runtime (ms)",
-                 "scale vs basic CP", "paper ILP", "paper runtime (ms)"});
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-", "-", "-"});
-        continue;
-      }
-      if (!cell.hasScaledCp) continue;
-      table.addRow(
-          {configName(configs[c]), withCommas(cell.scaledCriticalPath),
-           sigFigs(cell.scaledIlp(), 3),
-           sigFigs(
-               engine::CellResult::runtimeSeconds(cell.scaledCriticalPath) *
-                   1e3,
-               3),
-           sigFigs(static_cast<double>(cell.scaledCriticalPath) /
-                       static_cast<double>(cell.criticalPath),
-                   3),
-           sigFigs(kPaperRows[w].scaledIlp[c], 3),
-           sigFigs(kPaperRows[w].scaledRuntimeMs[c], 3)});
-    }
-    std::cout << table << "\n";
-  }
+  renderScaledCriticalPaths(std::cout, grid, shape);
 
   // ---- E4: windowed ILP (Figure 2, GCC 12.2 columns) --------------------
   std::cout << "---- E4: windowed critical-path mean ILP (paper Figure 2, "
                "GCC 12.2 binaries) ----\n\n";
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    std::vector<std::string> header = {"config"};
-    for (const auto size : windowSizes) {
-      header.push_back("W=" + std::to_string(size));
-    }
-    Table table(header);
-    // Columns 2 and 3 of the paper grid are the GCC 12.2 pair.
-    const engine::CellResult& arm = grid.at(w, 2);
-    const engine::CellResult& riscv = grid.at(w, 3);
-    for (const engine::CellResult* cell : {&arm, &riscv}) {
-      std::vector<std::string> row = {configName(cell->key.config)};
-      if (!cell->cell.ok) {
-        row.push_back(failedCellMark(*cell));
-        while (row.size() < header.size()) row.push_back("-");
-        table.addRow(std::move(row));
-        continue;
-      }
-      for (const auto& result : cell->windows) {
-        row.push_back(engine::windowIlpCell(result));
-      }
-      table.addRow(std::move(row));
-    }
-    if (arm.cell.ok && riscv.cell.ok) {
-      std::vector<std::string> deltaRow = {"RISC-V vs AArch64"};
-      for (std::size_t i = 0; i < windowSizes.size(); ++i) {
-        deltaRow.push_back(
-            arm.windows[i].windows != 0 && riscv.windows[i].windows != 0
-                ? percentDelta(riscv.windows[i].meanIlp, arm.windows[i].meanIlp)
-                : "-");
-      }
-      table.addRow(std::move(deltaRow));
-    }
-    std::cout << table << "\n";
-  }
+  // Configs 2 and 3 of the paper grid are the GCC 12.2 pair.
+  renderWindowedIlp(std::cout, grid, shape, spec.windowSizes, 2, 3);
 
   printFailureFooter(grid, std::cout);
   std::cout << run.footer << "\n";

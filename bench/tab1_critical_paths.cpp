@@ -8,8 +8,7 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "paper_data.hpp"
-#include "support/table.hpp"
+#include "paper_sections.hpp"
 
 using namespace riscmp;
 using namespace riscmp::bench;
@@ -21,8 +20,6 @@ int main(int argc, char** argv) {
   const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
-  const auto& suite = shape.suite;
-  const auto& configs = shape.configs;
 
   verify::FaultBoundary boundary(std::cout);
   engine::mergeIntoBoundary(grid, boundary, std::cout);
@@ -31,27 +28,7 @@ int main(int argc, char** argv) {
             << "Absolute CPs differ from the paper (reduced problem sizes);\n"
             << "compare ILP magnitudes and the AArch64-vs-RISC-V shape.\n\n";
 
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    Table table({"config", "path length", "CP", "ILP", "2GHz runtime (ms)",
-                 "paper ILP", "paper runtime (ms)"});
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-", "-", "-"});
-        continue;
-      }
-      table.addRow(
-          {configName(configs[c]), withCommas(cell.instructions),
-           withCommas(cell.criticalPath), sigFigs(cell.ilp(), 3),
-           sigFigs(engine::CellResult::runtimeSeconds(cell.criticalPath) * 1e3,
-                   3),
-           sigFigs(kPaperRows[w].ilp[c], 3),
-           sigFigs(kPaperRows[w].runtimeMs[c], 3)});
-    }
-    std::cout << table << "\n";
-  }
+  renderCriticalPaths(std::cout, grid, shape);
   printFailureFooter(grid, std::cout);
   std::cout << run.footer << "\n";
   return boundary.finish();

@@ -15,8 +15,7 @@
 #include <optional>
 
 #include "harness.hpp"
-#include "paper_data.hpp"
-#include "support/table.hpp"
+#include "paper_sections.hpp"
 #include "uarch/core_model.hpp"
 
 using namespace riscmp;
@@ -47,8 +46,6 @@ int main(int argc, char** argv) {
       runGridSpec(spec, argc, argv, {"--scale=", "--config-dir="});
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
-  const auto& suite = shape.suite;
-  const auto& configs = shape.configs;
   engine::mergeIntoBoundary(grid, boundary, std::cout);
 
   std::cout << "E3: scaled critical paths (paper Table 2)\n";
@@ -58,33 +55,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    std::cout << "== " << suite[w].name << " ==\n";
-    Table table({"config", "scaled CP", "ILP", "2GHz runtime (ms)",
-                 "scale vs basic CP", "paper ILP", "paper runtime (ms)"});
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const engine::CellResult& cell = grid.at(w, c);
-      if (!cell.cell.ok) {
-        table.addRow({configName(configs[c]), failedCellMark(cell), "-", "-",
-                      "-", "-", "-"});
-        continue;
-      }
-      if (!cell.hasScaledCp) continue;
-      table.addRow(
-          {configName(configs[c]), withCommas(cell.scaledCriticalPath),
-           sigFigs(cell.scaledIlp(), 3),
-           sigFigs(
-               engine::CellResult::runtimeSeconds(cell.scaledCriticalPath) *
-                   1e3,
-               3),
-           sigFigs(static_cast<double>(cell.scaledCriticalPath) /
-                       static_cast<double>(cell.criticalPath),
-                   3),
-           sigFigs(kPaperRows[w].scaledIlp[c], 3),
-           sigFigs(kPaperRows[w].scaledRuntimeMs[c], 3)});
-    }
-    std::cout << table << "\n";
-  }
+  renderScaledCriticalPaths(std::cout, grid, shape);
   std::cout << "Paper scaling factors: miniBUDE ~3.5x, minisweep ~6x, "
                "STREAM ~6x (§5.2); ours depend on which chain dominates\n"
                "after scaling — see EXPERIMENTS.md for the comparison.\n";

@@ -1,41 +1,11 @@
 #include "analysis/path_length.hpp"
 
-#include <algorithm>
-
 namespace riscmp {
 
-PathLengthCounter::PathLengthCounter(const Program& program) {
-  // Validates kernel-region non-overlap (ValidationFault on violation).
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
-
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    // Multiple regions may share a kernel name (time-step-unrolled
-    // workloads); their counts aggregate.
-    std::size_t kernelIndex = kernels_.size();
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      if (kernels_[i].name == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernels_.size()) {
-      kernels_.push_back({symbol.name, 0});
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back({symbol.addr, symbol.addr + symbol.size, kernelIndex});
-  }
-  std::sort(regions_.begin(), regions_.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
+PathLengthCounter::PathLengthCounter(const Program& program)
+    : kernelMap_(program) {
+  for (const std::string& name : kernelMap_.names()) {
+    kernels_.push_back({name, 0});
   }
 }
 
@@ -44,47 +14,17 @@ void PathLengthCounter::reset() {
   groups_.fill(0);
   total_ = 0;
   unattributed_ = 0;
-  lastRegion_ = SIZE_MAX;
 }
 
 void PathLengthCounter::attribute(const RetiredInst& inst) {
   ++total_;
   ++groups_[static_cast<std::size_t>(inst.group)];
-
-  // Hot path: the core stamped the static-instruction index, so kernel
-  // attribution is one table load instead of a pc range search.
-  if (inst.staticIndex < wordKernel_.size()) {
-    const std::int32_t kernel = wordKernel_[inst.staticIndex];
-    if (kernel >= 0) {
-      ++kernels_[static_cast<std::size_t>(kernel)].count;
-    } else {
-      ++unattributed_;
-    }
-    return;
+  const std::int32_t kernel = kernelMap_.slotOf(inst);
+  if (kernel >= 0) {
+    ++kernels_[static_cast<std::size_t>(kernel)].count;
+  } else {
+    ++unattributed_;
   }
-
-  // Fallback for records without static metadata (hand-built traces,
-  // execution outside the code image). Loops stay inside one region for a
-  // long time; check the last hit first.
-  if (lastRegion_ != SIZE_MAX) {
-    const Region& region = regions_[lastRegion_];
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      ++kernels_[region.kernelIndex].count;
-      return;
-    }
-  }
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), inst.pc,
-      [](std::uint64_t pc, const Region& region) { return pc < region.begin; });
-  if (it != regions_.begin()) {
-    const Region& region = *(it - 1);
-    if (inst.pc < region.end) {
-      lastRegion_ = static_cast<std::size_t>(&region - regions_.data());
-      ++kernels_[region.kernelIndex].count;
-      return;
-    }
-  }
-  ++unattributed_;
 }
 
 void PathLengthCounter::onRetire(const RetiredInst& inst) { attribute(inst); }

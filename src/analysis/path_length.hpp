@@ -48,26 +48,13 @@ class PathLengthCounter final : public TraceObserver {
   [[nodiscard]] std::uint64_t branchCount() const;
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void attribute(const RetiredInst& inst);
 
-  /// Static attribution table (tentpole): per code word, the kernels_ slot
-  /// to credit (-1 = unattributed), indexed by RetiredInst::staticIndex.
-  /// Records without a staticIndex (hand-built tests, code executed
-  /// outside the static image) fall back to the pc range search below.
-  std::vector<std::int32_t> wordKernel_;
-
-  std::vector<Region> regions_;
+  KernelMap kernelMap_;
   std::vector<KernelCount> kernels_;
   std::array<std::uint64_t, kInstGroupCount> groups_{};
   std::uint64_t total_ = 0;
   std::uint64_t unattributed_ = 0;
-  std::size_t lastRegion_ = SIZE_MAX;
 };
 
 }  // namespace riscmp

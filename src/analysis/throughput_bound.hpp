@@ -138,12 +138,6 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
   void reset();
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   /// Per-kernel accumulation state: port pressure plus a private scaled-CP
   /// chain (register and memory depths are tracked per kernel so one
   /// kernel's chain never leaks into another's bound).
@@ -157,24 +151,15 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
 
   void retireOne(const RetiredInst& inst);
   void account(Context& context, const RetiredInst& inst);
-  /// kernelNames_ slot for this record, or -1 when outside every kernel.
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   [[nodiscard]] KernelBound bound(const Context& context,
                                   std::string name) const;
 
   ThroughputModel model_;
   std::uint64_t instructions_ = 0;
 
-  // Static attribution (see PathLengthCounter): per code word, the kernel
-  // slot to credit, indexed by RetiredInst::staticIndex, with a pc
-  // range-search fallback for records without static metadata.
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
-  std::vector<std::string> kernelNames_;
-  /// One context per kernel, plus the whole-program context at index
-  /// kernelNames_.size() (same layout as CacheModelAnalyzer::lineSets_).
+  KernelMap kernelMap_;
+  /// One context per KernelMap slot, plus the whole-program context last
+  /// (same layout as CacheModelAnalyzer::lineSets_).
   std::vector<Context> contexts_;
 };
 

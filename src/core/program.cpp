@@ -63,6 +63,35 @@ std::vector<std::int32_t> Program::kernelWordIndex() const {
   return table;
 }
 
+KernelMap::KernelMap(const Program& program) {
+  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
+
+  std::vector<std::int32_t> symbolSlot(program.kernels.size());
+  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
+    const Symbol& symbol = program.kernels[s];
+    const auto named = std::find(names_.begin(), names_.end(), symbol.name);
+    symbolSlot[s] = static_cast<std::int32_t>(named - names_.begin());
+    if (named == names_.end()) names_.push_back(symbol.name);
+    regions_.push_back({symbol.addr, symbol.addr + symbol.size, symbolSlot[s]});
+  }
+
+  wordSlot_.resize(symbolOfWord.size());
+  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
+    wordSlot_[w] = symbolOfWord[w] < 0
+                       ? -1
+                       : symbolSlot[static_cast<std::size_t>(symbolOfWord[w])];
+  }
+}
+
+std::int32_t KernelMap::slotAt(std::uint64_t pc) const {
+  // Non-empty regions never overlap (kernelWordIndex validated that), so
+  // the first region containing pc is the only one.
+  for (const Region& region : regions_) {
+    if (pc >= region.begin && pc < region.end) return region.slot;
+  }
+  return -1;
+}
+
 const Symbol* Program::kernelNamed(std::string_view name) const {
   for (const Symbol& symbol : kernels) {
     if (symbol.name == name) return &symbol;

@@ -10,6 +10,7 @@
 
 #include "core/memory.hpp"
 #include "isa/arch.hpp"
+#include "isa/trace.hpp"
 
 namespace riscmp {
 
@@ -63,6 +64,45 @@ struct Program {
 
   /// Highest address the program touches statically (for memory sizing).
   [[nodiscard]] std::uint64_t highWaterMark() const;
+};
+
+/// Kernel attribution shared by every per-kernel observer (path length,
+/// cache model, memory system, throughput bound, fusion). Symbols sharing a
+/// name (time-step-unrolled workloads) share one slot, and slots are
+/// numbered by each name's first appearance in Program::kernels, so every
+/// observer's per-kernel table lines up row for row. A retired record maps
+/// to its slot with one table load on RetiredInst::staticIndex (built from
+/// kernelWordIndex); records without one (hand-built traces, code outside
+/// the static image) fall back to a pc search over the kernel regions.
+class KernelMap {
+ public:
+  /// Throws ValidationFault if two kernel regions overlap.
+  explicit KernelMap(const Program& program);
+
+  /// Kernel name per slot.
+  [[nodiscard]] const std::vector<std::string>& names() const {
+    return names_;
+  }
+
+  /// Slot of the kernel `inst` retired in, or -1 when outside every kernel.
+  [[nodiscard]] std::int32_t slotOf(const RetiredInst& inst) const {
+    if (inst.staticIndex < wordSlot_.size()) return wordSlot_[inst.staticIndex];
+    return slotAt(inst.pc);
+  }
+
+ private:
+  /// Slot of the kernel region containing `pc`, or -1.
+  [[nodiscard]] std::int32_t slotAt(std::uint64_t pc) const;
+
+  struct Region {
+    std::uint64_t begin;
+    std::uint64_t end;
+    std::int32_t slot;
+  };
+
+  std::vector<std::string> names_;
+  std::vector<std::int32_t> wordSlot_;  ///< per code word; -1 = no kernel
+  std::vector<Region> regions_;         ///< one per symbol, Program order
 };
 
 }  // namespace riscmp

@@ -1,7 +1,9 @@
 #include "engine/cell_codec.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstdio>
+#include <type_traits>
 
 #include "support/fault.hpp"
 
@@ -11,276 +13,312 @@ using support::JsonValue;
 
 namespace {
 
-JsonValue bits(double value) {
-  return JsonValue(std::bit_cast<std::uint64_t>(value));
+// ---- The v4 schema -------------------------------------------------------
+// One field list per record type: `fields(f, record)` names every member
+// once, in emission order, and both directions walk the same list — the
+// Encoder below turns `f(key, member)` into an object member, the Decoder
+// reads it back. Adding a result field is one line here (plus a kCodecV
+// bump when the layout changes).
+
+/// Matches `R` and `const R`, so one list serves encode and decode.
+template <class T, class R>
+concept Rec = std::same_as<std::remove_const_t<T>, R>;
+
+void fields(auto& f, Rec<Config> auto& c) {
+  f("arch", c.arch);
+  f("era", c.era);
 }
 
-double unbits(const JsonValue& value) {
-  return std::bit_cast<double>(value.asUint());
+void fields(auto& f, Rec<CellKey> auto& k) {
+  f("workload", k.workload);
+  f("w", k.workloadIndex);
+  f("config", k.config);
+  f("c", k.configIndex);
 }
 
-JsonValue encodeConfig(const Config& config) {
-  JsonValue out = JsonValue::object();
-  out.set("arch", JsonValue(static_cast<std::uint64_t>(config.arch)));
-  out.set("era", JsonValue(static_cast<std::uint64_t>(config.era)));
-  return out;
-}
-
-Config decodeConfig(const JsonValue& value) {
-  Config config;
-  config.arch = static_cast<Arch>(value.at("arch").asUint());
-  config.era = static_cast<kgen::CompilerEra>(value.at("era").asUint());
-  return config;
-}
-
-JsonValue encodeKernelBound(
-    const ThroughputBoundAnalyzer::KernelBound& bound) {
-  JsonValue out = JsonValue::object();
-  out.set("name", JsonValue(bound.name));
-  out.set("instructions", JsonValue(bound.instructions));
-  JsonValue ports = JsonValue::array();
-  for (const std::uint64_t cycles : bound.portCycles) {
-    ports.push(JsonValue(cycles));
+void fields(auto& f, Rec<verify::CellResult> auto& c) {
+  f("name", c.name);
+  f("ok", c.ok);
+  if (!c.ok) {
+    f("kind", c.kind);
+    f("summary", c.summary);
   }
-  out.set("portCycles", std::move(ports));
-  out.set("portBound", JsonValue(bound.portBound));
-  out.set("bindingPort", JsonValue(bound.bindingPort));
-  out.set("issueBound", JsonValue(bound.issueBound));
-  out.set("cpBound", JsonValue(bound.cpBound));
-  return out;
 }
 
-ThroughputBoundAnalyzer::KernelBound decodeKernelBound(
-    const JsonValue& value) {
-  ThroughputBoundAnalyzer::KernelBound bound;
-  bound.name = value.at("name").asString();
-  bound.instructions = value.at("instructions").asUint();
-  for (const JsonValue& cycles : value.at("portCycles").items()) {
-    bound.portCycles.push_back(cycles.asUint());
-  }
-  bound.portBound = value.at("portBound").asUint();
-  bound.bindingPort = value.at("bindingPort").asString();
-  bound.issueBound = value.at("issueBound").asUint();
-  bound.cpBound = value.at("cpBound").asUint();
-  return bound;
+void fields(auto& f, Rec<PathLengthCounter::KernelCount> auto& k) {
+  f("name", k.name);
+  f("count", k.count);
 }
+
+void fields(auto& f, Rec<WindowedCPAnalyzer::WindowResult> auto& w) {
+  f("size", w.windowSize);
+  f("windows", w.windows);
+  f("meanCp", w.meanCp);
+  f("meanIlp", w.meanIlp);
+  f("minCp", w.minCp);
+  f("maxCp", w.maxCp);
+}
+
+void fields(auto& f, Rec<DepSummary> auto& d) {
+  f("dependencies", d.dependencies);
+  f("meanDistance", d.meanDistance);
+  f("within4", d.within4);
+  f("within16", d.within16);
+  f("within64", d.within64);
+}
+
+void fields(auto& f, Rec<uarch::mem::HierarchyStats> auto& s) {
+  f("loads", s.loads);
+  f("stores", s.stores);
+  f("l1Hits", s.l1Hits);
+  f("l1Misses", s.l1Misses);
+  f("l2Hits", s.l2Hits);
+  f("l2Misses", s.l2Misses);
+  f("writebacksToL2", s.writebacksToL2);
+  f("writebacksToMem", s.writebacksToMem);
+  f("prefetchesIssued", s.prefetchesIssued);
+  f("prefetchesUseful", s.prefetchesUseful);
+  f("prefetchFillsFromMem", s.prefetchFillsFromMem);
+}
+
+void fields(auto& f, Rec<uarch::mem::CacheModelAnalyzer::KernelStats> auto& k) {
+  f("name", k.name);
+  f("instructions", k.instructions);
+  f("loads", k.loads);
+  f("stores", k.stores);
+  f("l1Misses", k.l1Misses);
+  f("l2Misses", k.l2Misses);
+  f("footprintLines", k.footprintLines);
+  f("lineSetDigest", k.lineSetDigest);
+}
+
+void fields(auto& f, Rec<ThroughputBoundAnalyzer::KernelBound> auto& b) {
+  f("name", b.name);
+  f("instructions", b.instructions);
+  f("portCycles", b.portCycles);
+  f("portBound", b.portBound);
+  f("bindingPort", b.bindingPort);
+  f("issueBound", b.issueBound);
+  f("cpBound", b.cpBound);
+}
+
+void fields(auto& f, Rec<uarch::FusionPass::KernelFusion> auto& k) {
+  f("name", k.name);
+  f("pairs", k.pairs);
+  f("byRule", k.byRule);
+}
+
+void fields(auto& f, Rec<uarch::mem::TlbStats> auto& t) {
+  f("accesses", t.accesses);
+  f("l1Hits", t.l1Hits);
+  f("l1Misses", t.l1Misses);
+  f("l2Hits", t.l2Hits);
+  f("walks", t.walks);
+  f("walkCycles", t.walkCycles);
+}
+
+void fields(auto& f, Rec<uarch::mem::MemSummary> auto& m) {
+  f("tlb", m.tlb);
+  f("footprintPages", m.footprintPages);
+  f("pageSetDigest", m.pageSetDigest);
+  f("demandFillBytes", m.demandFillBytes);
+  f("prefetchFillBytes", m.prefetchFillBytes);
+  f("writebackBytes", m.writebackBytes);
+  f("missCycles", m.missCycles);
+  f("mshrBoundCycles", m.mshrBoundCycles);
+  f("bandwidthBoundCycles", m.bandwidthBoundCycles);
+}
+
+void fields(auto& f, Rec<uarch::mem::MemKernelStats> auto& k) {
+  f("name", k.name);
+  f("instructions", k.instructions);
+  f("tlbAccesses", k.tlbAccesses);
+  f("tlbWalks", k.tlbWalks);
+  f("footprintPages", k.footprintPages);
+  f("pageSetDigest", k.pageSetDigest);
+}
+
+void fields(auto& f, Rec<uarch::mem::CoreShare> auto& s) {
+  f("accesses", s.accesses);
+  f("l1Misses", s.l1Misses);
+  f("l2Hits", s.l2Hits);
+  f("l2Misses", s.l2Misses);
+  f("latencyCycles", s.latencyCycles);
+}
+
+void fields(auto& f, Rec<uarch::mem::ScalingPoint> auto& p) {
+  f("cores", p.cores);
+  f("perCore", p.perCore);
+  f("sharedL2Accesses", p.sharedL2Accesses);
+  f("sharedL2Hits", p.sharedL2Hits);
+  f("sharedL2Misses", p.sharedL2Misses);
+  f("sharedWritebacksToMem", p.sharedWritebacksToMem);
+  f("bytesFromMem", p.bytesFromMem);
+  f("bandwidthBoundCycles", p.bandwidthBoundCycles);
+  f("mshrBoundCycles", p.mshrBoundCycles);
+}
+
+void fields(auto& f, Rec<CellResult> auto& r) {
+  f("key", r.key);
+  f("cell", r.cell);
+  if (f.present("faultText", !r.faultText.empty())) {
+    f("faultText", r.faultText);
+  }
+
+  f("instructions", r.instructions);
+  f("kernels", r.kernels);
+  f("groups", r.groups);
+  f("unattributed", r.unattributed);
+
+  f("criticalPath", r.criticalPath);
+  f("hasScaledCp", r.hasScaledCp);
+  f("scaledCriticalPath", r.scaledCriticalPath);
+  f("windows", r.windows);
+  f("deps", r.deps);
+
+  f("hasCache", r.hasCache);
+  if (r.hasCache) {
+    f("cache", r.cache);
+    f("cacheFootprintLines", r.cacheFootprintLines);
+    f("cacheLineSetDigest", r.cacheLineSetDigest);
+    f("cacheKernels", r.cacheKernels);
+  }
+  f("hasCacheAwareCp", r.hasCacheAwareCp);
+  f("cacheAwareCriticalPath", r.cacheAwareCriticalPath);
+
+  f("hasThroughput", r.hasThroughput);
+  if (r.hasThroughput) {
+    f("throughputProgram", r.throughputProgram);
+    f("throughputKernels", r.throughputKernels);
+  }
+
+  f("hasFusion", r.hasFusion);
+  if (r.hasFusion) {
+    f("fusedInstructions", r.fusedInstructions);
+    f("fusionPairs", r.fusionPairs);
+    f("fusionPairsByRule", r.fusionPairsByRule);
+    f("fusionUnattributedPairs", r.fusionUnattributedPairs);
+    f("fusionKernels", r.fusionKernels);
+    f("fusedKernels", r.fusedKernels);
+    f("fusedCriticalPath", r.fusedCriticalPath);
+    f("hasFusedScaledCp", r.hasFusedScaledCp);
+    f("fusedScaledCriticalPath", r.fusedScaledCriticalPath);
+  }
+
+  f("hasMemSystem", r.hasMemSystem);
+  if (r.hasMemSystem) {
+    f("memSystem", r.memSystem);
+    f("memKernels", r.memKernels);
+    f("memScaling", r.memScaling);
+  }
+}
+
+// ---- The two visitors ----------------------------------------------------
+// Integers and enums travel as JSON numbers, doubles as their IEEE-754 bit
+// patterns (so re-encoding is byte-exact), records as nested objects.
+
+class Encoder {
+ public:
+  explicit Encoder(JsonValue& out) : out_(out) {}
+
+  void operator()(const char* key, const auto& value) {
+    out_.set(key, encode(value));
+  }
+  /// Optional members are emitted only when they carry a value.
+  bool present(const char* /*key*/, bool hasValue) const { return hasValue; }
+
+ private:
+  static JsonValue encode(bool value) { return JsonValue(value); }
+  static JsonValue encode(double value) {
+    return JsonValue(std::bit_cast<std::uint64_t>(value));
+  }
+  static JsonValue encode(const std::string& value) { return JsonValue(value); }
+  template <class T>
+    requires std::unsigned_integral<T> || std::is_enum_v<T>
+  static JsonValue encode(const T& value) {
+    return JsonValue(static_cast<std::uint64_t>(value));
+  }
+  template <class T, std::size_t N>
+  static JsonValue encode(const std::array<T, N>& values) {
+    return encodeItems(values);
+  }
+  template <class T>
+  static JsonValue encode(const std::vector<T>& values) {
+    return encodeItems(values);
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  static JsonValue encode(const T& record) {
+    JsonValue out = JsonValue::object();
+    Encoder encoder(out);
+    fields(encoder, record);
+    return out;
+  }
+
+  static JsonValue encodeItems(const auto& values) {
+    JsonValue out = JsonValue::array();
+    for (const auto& value : values) out.push(encode(value));
+    return out;
+  }
+
+  JsonValue& out_;
+};
+
+class Decoder {
+ public:
+  explicit Decoder(const JsonValue& in) : in_(in) {}
+
+  void operator()(const char* key, auto& value) { decode(in_.at(key), value); }
+  bool present(const char* key, bool /*hasValue*/) const {
+    return in_.has(key);
+  }
+
+ private:
+  static void decode(const JsonValue& in, bool& value) { value = in.asBool(); }
+  static void decode(const JsonValue& in, double& value) {
+    value = std::bit_cast<double>(in.asUint());
+  }
+  static void decode(const JsonValue& in, std::string& value) {
+    value = in.asString();
+  }
+  template <class T>
+    requires std::unsigned_integral<T> || std::is_enum_v<T>
+  static void decode(const JsonValue& in, T& value) {
+    value = static_cast<T>(in.asUint());
+  }
+  template <class T, std::size_t N>
+  static void decode(const JsonValue& in, std::array<T, N>& values) {
+    const auto& items = in.items();
+    if (items.size() != N) {
+      throw ConfigError("cell codec: fixed-length array size mismatch");
+    }
+    for (std::size_t i = 0; i < N; ++i) decode(items[i], values[i]);
+  }
+  template <class T>
+  static void decode(const JsonValue& in, std::vector<T>& values) {
+    for (const JsonValue& item : in.items()) {
+      T value;
+      decode(item, value);
+      values.push_back(std::move(value));
+    }
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  static void decode(const JsonValue& in, T& record) {
+    Decoder decoder(in);
+    fields(decoder, record);
+  }
+
+  const JsonValue& in_;
+};
 
 }  // namespace
 
 JsonValue encodeCell(const CellResult& result) {
   JsonValue out = JsonValue::object();
   out.set("v", JsonValue(kCodecV));
-
-  JsonValue key = JsonValue::object();
-  key.set("workload", JsonValue(result.key.workload));
-  key.set("w", JsonValue(static_cast<std::uint64_t>(result.key.workloadIndex)));
-  key.set("config", encodeConfig(result.key.config));
-  key.set("c", JsonValue(static_cast<std::uint64_t>(result.key.configIndex)));
-  out.set("key", std::move(key));
-
-  JsonValue status = JsonValue::object();
-  status.set("name", JsonValue(result.cell.name));
-  status.set("ok", JsonValue(result.cell.ok));
-  if (!result.cell.ok) {
-    status.set("kind", JsonValue(result.cell.kind));
-    status.set("summary", JsonValue(result.cell.summary));
-  }
-  out.set("cell", std::move(status));
-  if (!result.faultText.empty()) {
-    out.set("faultText", JsonValue(result.faultText));
-  }
-
-  out.set("instructions", JsonValue(result.instructions));
-
-  JsonValue kernels = JsonValue::array();
-  for (const auto& kernel : result.kernels) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(kernel.name));
-    entry.set("count", JsonValue(kernel.count));
-    kernels.push(std::move(entry));
-  }
-  out.set("kernels", std::move(kernels));
-
-  JsonValue groups = JsonValue::array();
-  for (const std::uint64_t count : result.groups) groups.push(JsonValue(count));
-  out.set("groups", std::move(groups));
-  out.set("unattributed", JsonValue(result.unattributed));
-
-  out.set("criticalPath", JsonValue(result.criticalPath));
-  out.set("hasScaledCp", JsonValue(result.hasScaledCp));
-  out.set("scaledCriticalPath", JsonValue(result.scaledCriticalPath));
-
-  JsonValue windows = JsonValue::array();
-  for (const auto& window : result.windows) {
-    JsonValue entry = JsonValue::object();
-    entry.set("size", JsonValue(static_cast<std::uint64_t>(window.windowSize)));
-    entry.set("windows", JsonValue(window.windows));
-    entry.set("meanCp", bits(window.meanCp));
-    entry.set("meanIlp", bits(window.meanIlp));
-    entry.set("minCp", bits(window.minCp));
-    entry.set("maxCp", bits(window.maxCp));
-    windows.push(std::move(entry));
-  }
-  out.set("windows", std::move(windows));
-
-  JsonValue deps = JsonValue::object();
-  deps.set("dependencies", JsonValue(result.deps.dependencies));
-  deps.set("meanDistance", bits(result.deps.meanDistance));
-  deps.set("within4", bits(result.deps.within4));
-  deps.set("within16", bits(result.deps.within16));
-  deps.set("within64", bits(result.deps.within64));
-  out.set("deps", std::move(deps));
-
-  out.set("hasCache", JsonValue(result.hasCache));
-  if (result.hasCache) {
-    JsonValue cache = JsonValue::object();
-    cache.set("loads", JsonValue(result.cache.loads));
-    cache.set("stores", JsonValue(result.cache.stores));
-    cache.set("l1Hits", JsonValue(result.cache.l1Hits));
-    cache.set("l1Misses", JsonValue(result.cache.l1Misses));
-    cache.set("l2Hits", JsonValue(result.cache.l2Hits));
-    cache.set("l2Misses", JsonValue(result.cache.l2Misses));
-    cache.set("writebacksToL2", JsonValue(result.cache.writebacksToL2));
-    cache.set("writebacksToMem", JsonValue(result.cache.writebacksToMem));
-    cache.set("prefetchesIssued", JsonValue(result.cache.prefetchesIssued));
-    cache.set("prefetchesUseful", JsonValue(result.cache.prefetchesUseful));
-    cache.set("prefetchFillsFromMem",
-              JsonValue(result.cache.prefetchFillsFromMem));
-    out.set("cache", std::move(cache));
-    out.set("cacheFootprintLines", JsonValue(result.cacheFootprintLines));
-    out.set("cacheLineSetDigest", JsonValue(result.cacheLineSetDigest));
-
-    JsonValue cacheKernels = JsonValue::array();
-    for (const auto& kernel : result.cacheKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("instructions", JsonValue(kernel.instructions));
-      entry.set("loads", JsonValue(kernel.loads));
-      entry.set("stores", JsonValue(kernel.stores));
-      entry.set("l1Misses", JsonValue(kernel.l1Misses));
-      entry.set("l2Misses", JsonValue(kernel.l2Misses));
-      entry.set("footprintLines", JsonValue(kernel.footprintLines));
-      entry.set("lineSetDigest", JsonValue(kernel.lineSetDigest));
-      cacheKernels.push(std::move(entry));
-    }
-    out.set("cacheKernels", std::move(cacheKernels));
-  }
-  out.set("hasCacheAwareCp", JsonValue(result.hasCacheAwareCp));
-  out.set("cacheAwareCriticalPath", JsonValue(result.cacheAwareCriticalPath));
-
-  out.set("hasThroughput", JsonValue(result.hasThroughput));
-  if (result.hasThroughput) {
-    out.set("throughputProgram", encodeKernelBound(result.throughputProgram));
-    JsonValue kernelsOut = JsonValue::array();
-    for (const auto& kernel : result.throughputKernels) {
-      kernelsOut.push(encodeKernelBound(kernel));
-    }
-    out.set("throughputKernels", std::move(kernelsOut));
-  }
-
-  out.set("hasFusion", JsonValue(result.hasFusion));
-  if (result.hasFusion) {
-    out.set("fusedInstructions", JsonValue(result.fusedInstructions));
-    out.set("fusionPairs", JsonValue(result.fusionPairs));
-    JsonValue byRule = JsonValue::array();
-    for (const std::uint64_t count : result.fusionPairsByRule) {
-      byRule.push(JsonValue(count));
-    }
-    out.set("fusionPairsByRule", std::move(byRule));
-    out.set("fusionUnattributedPairs",
-            JsonValue(result.fusionUnattributedPairs));
-    JsonValue fusionKernels = JsonValue::array();
-    for (const auto& kernel : result.fusionKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("pairs", JsonValue(kernel.pairs));
-      JsonValue kernelByRule = JsonValue::array();
-      for (const std::uint64_t count : kernel.byRule) {
-        kernelByRule.push(JsonValue(count));
-      }
-      entry.set("byRule", std::move(kernelByRule));
-      fusionKernels.push(std::move(entry));
-    }
-    out.set("fusionKernels", std::move(fusionKernels));
-    JsonValue fusedKernels = JsonValue::array();
-    for (const auto& kernel : result.fusedKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("count", JsonValue(kernel.count));
-      fusedKernels.push(std::move(entry));
-    }
-    out.set("fusedKernels", std::move(fusedKernels));
-    out.set("fusedCriticalPath", JsonValue(result.fusedCriticalPath));
-    out.set("hasFusedScaledCp", JsonValue(result.hasFusedScaledCp));
-    out.set("fusedScaledCriticalPath",
-            JsonValue(result.fusedScaledCriticalPath));
-  }
-
-  out.set("hasMemSystem", JsonValue(result.hasMemSystem));
-  if (result.hasMemSystem) {
-    JsonValue mem = JsonValue::object();
-    JsonValue tlb = JsonValue::object();
-    tlb.set("accesses", JsonValue(result.memSystem.tlb.accesses));
-    tlb.set("l1Hits", JsonValue(result.memSystem.tlb.l1Hits));
-    tlb.set("l1Misses", JsonValue(result.memSystem.tlb.l1Misses));
-    tlb.set("l2Hits", JsonValue(result.memSystem.tlb.l2Hits));
-    tlb.set("walks", JsonValue(result.memSystem.tlb.walks));
-    tlb.set("walkCycles", JsonValue(result.memSystem.tlb.walkCycles));
-    mem.set("tlb", std::move(tlb));
-    mem.set("footprintPages", JsonValue(result.memSystem.footprintPages));
-    mem.set("pageSetDigest", JsonValue(result.memSystem.pageSetDigest));
-    mem.set("demandFillBytes", JsonValue(result.memSystem.demandFillBytes));
-    mem.set("prefetchFillBytes",
-            JsonValue(result.memSystem.prefetchFillBytes));
-    mem.set("writebackBytes", JsonValue(result.memSystem.writebackBytes));
-    mem.set("missCycles", JsonValue(result.memSystem.missCycles));
-    mem.set("mshrBoundCycles", JsonValue(result.memSystem.mshrBoundCycles));
-    mem.set("bandwidthBoundCycles",
-            JsonValue(result.memSystem.bandwidthBoundCycles));
-    out.set("memSystem", std::move(mem));
-
-    JsonValue memKernels = JsonValue::array();
-    for (const auto& kernel : result.memKernels) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(kernel.name));
-      entry.set("instructions", JsonValue(kernel.instructions));
-      entry.set("tlbAccesses", JsonValue(kernel.tlbAccesses));
-      entry.set("tlbWalks", JsonValue(kernel.tlbWalks));
-      entry.set("footprintPages", JsonValue(kernel.footprintPages));
-      entry.set("pageSetDigest", JsonValue(kernel.pageSetDigest));
-      memKernels.push(std::move(entry));
-    }
-    out.set("memKernels", std::move(memKernels));
-
-    JsonValue scaling = JsonValue::array();
-    for (const auto& point : result.memScaling) {
-      JsonValue entry = JsonValue::object();
-      entry.set("cores", JsonValue(static_cast<std::uint64_t>(point.cores)));
-      JsonValue perCore = JsonValue::array();
-      for (const auto& share : point.perCore) {
-        JsonValue coreEntry = JsonValue::object();
-        coreEntry.set("accesses", JsonValue(share.accesses));
-        coreEntry.set("l1Misses", JsonValue(share.l1Misses));
-        coreEntry.set("l2Hits", JsonValue(share.l2Hits));
-        coreEntry.set("l2Misses", JsonValue(share.l2Misses));
-        coreEntry.set("latencyCycles", JsonValue(share.latencyCycles));
-        perCore.push(std::move(coreEntry));
-      }
-      entry.set("perCore", std::move(perCore));
-      entry.set("sharedL2Accesses", JsonValue(point.sharedL2Accesses));
-      entry.set("sharedL2Hits", JsonValue(point.sharedL2Hits));
-      entry.set("sharedL2Misses", JsonValue(point.sharedL2Misses));
-      entry.set("sharedWritebacksToMem",
-                JsonValue(point.sharedWritebacksToMem));
-      entry.set("bytesFromMem", JsonValue(point.bytesFromMem));
-      entry.set("bandwidthBoundCycles",
-                JsonValue(point.bandwidthBoundCycles));
-      entry.set("mshrBoundCycles", JsonValue(point.mshrBoundCycles));
-      scaling.push(std::move(entry));
-    }
-    out.set("memScaling", std::move(scaling));
-  }
-
+  Encoder encoder(out);
+  fields(encoder, result);
   return out;
 }
 
@@ -290,193 +328,8 @@ CellResult decodeCell(const JsonValue& value) {
                       std::to_string(value.at("v").asUint()));
   }
   CellResult result;
-
-  const JsonValue& key = value.at("key");
-  result.key.workload = key.at("workload").asString();
-  result.key.workloadIndex = key.at("w").asUint();
-  result.key.config = decodeConfig(key.at("config"));
-  result.key.configIndex = key.at("c").asUint();
-
-  const JsonValue& status = value.at("cell");
-  result.cell.name = status.at("name").asString();
-  result.cell.ok = status.at("ok").asBool();
-  if (!result.cell.ok) {
-    result.cell.kind = status.at("kind").asString();
-    result.cell.summary = status.at("summary").asString();
-  }
-  if (value.has("faultText")) {
-    result.faultText = value.at("faultText").asString();
-  }
-
-  result.instructions = value.at("instructions").asUint();
-
-  for (const JsonValue& entry : value.at("kernels").items()) {
-    result.kernels.push_back(
-        {entry.at("name").asString(), entry.at("count").asUint()});
-  }
-
-  const auto& groups = value.at("groups").items();
-  if (groups.size() != result.groups.size()) {
-    throw ConfigError("cell codec: group-count mismatch");
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    result.groups[g] = groups[g].asUint();
-  }
-  result.unattributed = value.at("unattributed").asUint();
-
-  result.criticalPath = value.at("criticalPath").asUint();
-  result.hasScaledCp = value.at("hasScaledCp").asBool();
-  result.scaledCriticalPath = value.at("scaledCriticalPath").asUint();
-
-  for (const JsonValue& entry : value.at("windows").items()) {
-    WindowedCPAnalyzer::WindowResult window;
-    window.windowSize = static_cast<std::uint32_t>(entry.at("size").asUint());
-    window.windows = entry.at("windows").asUint();
-    window.meanCp = unbits(entry.at("meanCp"));
-    window.meanIlp = unbits(entry.at("meanIlp"));
-    window.minCp = unbits(entry.at("minCp"));
-    window.maxCp = unbits(entry.at("maxCp"));
-    result.windows.push_back(window);
-  }
-
-  const JsonValue& deps = value.at("deps");
-  result.deps.dependencies = deps.at("dependencies").asUint();
-  result.deps.meanDistance = unbits(deps.at("meanDistance"));
-  result.deps.within4 = unbits(deps.at("within4"));
-  result.deps.within16 = unbits(deps.at("within16"));
-  result.deps.within64 = unbits(deps.at("within64"));
-
-  result.hasCache = value.at("hasCache").asBool();
-  if (result.hasCache) {
-    const JsonValue& cache = value.at("cache");
-    result.cache.loads = cache.at("loads").asUint();
-    result.cache.stores = cache.at("stores").asUint();
-    result.cache.l1Hits = cache.at("l1Hits").asUint();
-    result.cache.l1Misses = cache.at("l1Misses").asUint();
-    result.cache.l2Hits = cache.at("l2Hits").asUint();
-    result.cache.l2Misses = cache.at("l2Misses").asUint();
-    result.cache.writebacksToL2 = cache.at("writebacksToL2").asUint();
-    result.cache.writebacksToMem = cache.at("writebacksToMem").asUint();
-    result.cache.prefetchesIssued = cache.at("prefetchesIssued").asUint();
-    result.cache.prefetchesUseful = cache.at("prefetchesUseful").asUint();
-    result.cache.prefetchFillsFromMem =
-        cache.at("prefetchFillsFromMem").asUint();
-    result.cacheFootprintLines = value.at("cacheFootprintLines").asUint();
-    result.cacheLineSetDigest = value.at("cacheLineSetDigest").asUint();
-    for (const JsonValue& entry : value.at("cacheKernels").items()) {
-      uarch::mem::CacheModelAnalyzer::KernelStats kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.instructions = entry.at("instructions").asUint();
-      kernel.loads = entry.at("loads").asUint();
-      kernel.stores = entry.at("stores").asUint();
-      kernel.l1Misses = entry.at("l1Misses").asUint();
-      kernel.l2Misses = entry.at("l2Misses").asUint();
-      kernel.footprintLines = entry.at("footprintLines").asUint();
-      kernel.lineSetDigest = entry.at("lineSetDigest").asUint();
-      result.cacheKernels.push_back(std::move(kernel));
-    }
-  }
-  result.hasCacheAwareCp = value.at("hasCacheAwareCp").asBool();
-  result.cacheAwareCriticalPath = value.at("cacheAwareCriticalPath").asUint();
-
-  result.hasThroughput = value.at("hasThroughput").asBool();
-  if (result.hasThroughput) {
-    result.throughputProgram =
-        decodeKernelBound(value.at("throughputProgram"));
-    for (const JsonValue& entry : value.at("throughputKernels").items()) {
-      result.throughputKernels.push_back(decodeKernelBound(entry));
-    }
-  }
-
-  result.hasFusion = value.at("hasFusion").asBool();
-  if (result.hasFusion) {
-    result.fusedInstructions = value.at("fusedInstructions").asUint();
-    result.fusionPairs = value.at("fusionPairs").asUint();
-    const auto& byRule = value.at("fusionPairsByRule").items();
-    if (byRule.size() != result.fusionPairsByRule.size()) {
-      throw ConfigError("cell codec: fusion rule-count mismatch");
-    }
-    for (std::size_t r = 0; r < byRule.size(); ++r) {
-      result.fusionPairsByRule[r] = byRule[r].asUint();
-    }
-    result.fusionUnattributedPairs =
-        value.at("fusionUnattributedPairs").asUint();
-    for (const JsonValue& entry : value.at("fusionKernels").items()) {
-      uarch::FusionPass::KernelFusion kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.pairs = entry.at("pairs").asUint();
-      const auto& kernelByRule = entry.at("byRule").items();
-      if (kernelByRule.size() != kernel.byRule.size()) {
-        throw ConfigError("cell codec: fusion rule-count mismatch");
-      }
-      for (std::size_t r = 0; r < kernelByRule.size(); ++r) {
-        kernel.byRule[r] = kernelByRule[r].asUint();
-      }
-      result.fusionKernels.push_back(std::move(kernel));
-    }
-    for (const JsonValue& entry : value.at("fusedKernels").items()) {
-      result.fusedKernels.push_back(
-          {entry.at("name").asString(), entry.at("count").asUint()});
-    }
-    result.fusedCriticalPath = value.at("fusedCriticalPath").asUint();
-    result.hasFusedScaledCp = value.at("hasFusedScaledCp").asBool();
-    result.fusedScaledCriticalPath =
-        value.at("fusedScaledCriticalPath").asUint();
-  }
-
-  result.hasMemSystem = value.at("hasMemSystem").asBool();
-  if (result.hasMemSystem) {
-    const JsonValue& mem = value.at("memSystem");
-    const JsonValue& tlb = mem.at("tlb");
-    result.memSystem.tlb.accesses = tlb.at("accesses").asUint();
-    result.memSystem.tlb.l1Hits = tlb.at("l1Hits").asUint();
-    result.memSystem.tlb.l1Misses = tlb.at("l1Misses").asUint();
-    result.memSystem.tlb.l2Hits = tlb.at("l2Hits").asUint();
-    result.memSystem.tlb.walks = tlb.at("walks").asUint();
-    result.memSystem.tlb.walkCycles = tlb.at("walkCycles").asUint();
-    result.memSystem.footprintPages = mem.at("footprintPages").asUint();
-    result.memSystem.pageSetDigest = mem.at("pageSetDigest").asUint();
-    result.memSystem.demandFillBytes = mem.at("demandFillBytes").asUint();
-    result.memSystem.prefetchFillBytes = mem.at("prefetchFillBytes").asUint();
-    result.memSystem.writebackBytes = mem.at("writebackBytes").asUint();
-    result.memSystem.missCycles = mem.at("missCycles").asUint();
-    result.memSystem.mshrBoundCycles = mem.at("mshrBoundCycles").asUint();
-    result.memSystem.bandwidthBoundCycles =
-        mem.at("bandwidthBoundCycles").asUint();
-    for (const JsonValue& entry : value.at("memKernels").items()) {
-      uarch::mem::MemKernelStats kernel;
-      kernel.name = entry.at("name").asString();
-      kernel.instructions = entry.at("instructions").asUint();
-      kernel.tlbAccesses = entry.at("tlbAccesses").asUint();
-      kernel.tlbWalks = entry.at("tlbWalks").asUint();
-      kernel.footprintPages = entry.at("footprintPages").asUint();
-      kernel.pageSetDigest = entry.at("pageSetDigest").asUint();
-      result.memKernels.push_back(std::move(kernel));
-    }
-    for (const JsonValue& entry : value.at("memScaling").items()) {
-      uarch::mem::ScalingPoint point;
-      point.cores = static_cast<std::uint32_t>(entry.at("cores").asUint());
-      for (const JsonValue& coreEntry : entry.at("perCore").items()) {
-        uarch::mem::CoreShare share;
-        share.accesses = coreEntry.at("accesses").asUint();
-        share.l1Misses = coreEntry.at("l1Misses").asUint();
-        share.l2Hits = coreEntry.at("l2Hits").asUint();
-        share.l2Misses = coreEntry.at("l2Misses").asUint();
-        share.latencyCycles = coreEntry.at("latencyCycles").asUint();
-        point.perCore.push_back(share);
-      }
-      point.sharedL2Accesses = entry.at("sharedL2Accesses").asUint();
-      point.sharedL2Hits = entry.at("sharedL2Hits").asUint();
-      point.sharedL2Misses = entry.at("sharedL2Misses").asUint();
-      point.sharedWritebacksToMem =
-          entry.at("sharedWritebacksToMem").asUint();
-      point.bytesFromMem = entry.at("bytesFromMem").asUint();
-      point.bandwidthBoundCycles = entry.at("bandwidthBoundCycles").asUint();
-      point.mshrBoundCycles = entry.at("mshrBoundCycles").asUint();
-      result.memScaling.push_back(std::move(point));
-    }
-  }
-
+  Decoder decoder(value);
+  fields(decoder, result);
   return result;
 }
 

@@ -114,7 +114,10 @@ struct DepSummary {
 
 /// Everything one simulation pass produced for one cell. Fields belonging
 /// to analyses that were not enabled (or not runnable, e.g. scaled CP with
-/// no latency table) stay at their defaults.
+/// no latency table) stay at their defaults. Journals, the result store,
+/// worker pipes and the daemon all carry it through cell_codec, whose field
+/// schema lists every member once: a new field here needs one line in that
+/// schema (plus a kCodecV bump when the encoded layout changes).
 struct CellResult {
   CellKey key;
   verify::CellResult cell;  ///< ok flag + fault kind/summary

@@ -132,6 +132,12 @@ std::string JsonValue::dump() const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a bound a hostile document ("[[[[...") would
+/// overflow the stack instead of failing as a ConfigError. Every document
+/// the engine writes nests fewer than a dozen levels.
+constexpr std::size_t kMaxNesting = 128;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -176,8 +182,15 @@ class Parser {
   JsonValue parseValue() {
     skipSpace();
     const char c = peek();
-    if (c == '{') return parseObject();
-    if (c == '[') return parseArray();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxNesting) {
+        fail("nesting deeper than " + std::to_string(kMaxNesting) +
+             " levels");
+      }
+      JsonValue out = c == '{' ? parseObject() : parseArray();
+      --depth_;
+      return out;
+    }
     if (c == '"') return JsonValue(parseString());
     if (c >= '0' && c <= '9') return parseNumber();
     if (consume("true")) return JsonValue(true);
@@ -304,6 +317,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

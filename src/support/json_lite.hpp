@@ -10,8 +10,9 @@
 //            journal schema is a count, an index, a bit pattern, or a
 //            digest; doubles are carried as their IEEE-754 bit patterns
 //            (see engine/cell_codec) so re-serialization is byte-exact.
-// parse() rejects anything outside that subset with a ConfigError carrying
-// the byte offset, and never throws on the hot path (journal loaders probe
+// parse() rejects anything outside that subset, and any document nested
+// more than 128 arrays/objects deep, with a ConfigError carrying the byte
+// offset, and never throws on the hot path (journal loaders probe
 // with tryParse to tolerate a torn final line after a crash).
 #pragma once
 

@@ -107,6 +107,11 @@ Node parseScalarOrFlow(const std::string& s, int lineNo) {
   return Node(unquote(s), lineNo);
 }
 
+/// Deepest block nesting parse() accepts. The parser recurses once per
+/// level, so the bound keeps a hostile file from overflowing the stack;
+/// core-model configs nest three or four levels.
+constexpr int kMaxNesting = 128;
+
 class Parser {
  public:
   explicit Parser(std::vector<Line> lines) : lines_(std::move(lines)) {}
@@ -125,10 +130,16 @@ class Parser {
   /// Parse a block (mapping or sequence) whose entries sit at `indent`.
   Node parseBlock(int indent) {
     const Line& first = lines_[pos_];
-    if (first.content.rfind("- ", 0) == 0 || first.content == "-") {
-      return parseSequence(indent);
+    if (++depth_ > kMaxNesting) {
+      throw ParseError("nesting deeper than " + std::to_string(kMaxNesting) +
+                           " levels",
+                       first.number);
     }
-    return parseMapping(indent);
+    Node node = first.content.rfind("- ", 0) == 0 || first.content == "-"
+                    ? parseSequence(indent)
+                    : parseMapping(indent);
+    --depth_;
+    return node;
   }
 
   Node parseMapping(int indent) {
@@ -219,6 +230,7 @@ class Parser {
 
   std::vector<Line> lines_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

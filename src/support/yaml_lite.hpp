@@ -9,8 +9,9 @@
 //   * scalars: integers, floats, booleans, strings (optionally quoted)
 //   * `#` comments and blank lines
 //
-// Anchors, aliases, multi-document streams, and flow mappings are out of
-// scope and rejected with a ParseError carrying the offending line number.
+// Anchors, aliases, multi-document streams, flow mappings, and blocks
+// nested more than 128 levels deep are out of scope and rejected with a
+// ParseError carrying the offending line number.
 #pragma once
 
 #include <cstdint>

@@ -144,50 +144,30 @@ FusionConfig FusionConfig::allRulesFor(Arch arch) {
   return config;
 }
 
-FusionPass::FusionPass(const FusionConfig& config, const Program& program,
-                       std::vector<TraceObserver*> downstream)
-    : config_(config),
-      codeBase_(program.codeBase),
-      codeWords_(program.code.size()),
-      downstream_(std::move(downstream)) {
+namespace {
+
+const FusionConfig& requireArch(const FusionConfig& config,
+                                const Program& program) {
   if (config.arch != program.arch) {
     throw ValidationFault(std::string("fusion config is for ") +
                           std::string(archName(config.arch)) +
                           " but the program is " +
                           std::string(archName(program.arch)));
   }
-  // Validates kernel-region non-overlap (ValidationFault on violation).
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
+  return config;
+}
 
-  // Multiple symbols may share a kernel name (time-step-unrolled
-  // workloads); their pair counts aggregate into one slot, mirroring
-  // PathLengthCounter so the per-kernel tables line up row for row.
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  regions_.reserve(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    std::size_t kernelIndex = kernels_.size();
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      if (kernels_[i].name == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernels_.size()) {
-      kernels_.push_back(KernelFusion{symbol.name, 0, {}});
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back(Region{symbol.addr, symbol.addr + symbol.size,
-                              static_cast<std::int32_t>(kernelIndex)});
-  }
+}  // namespace
 
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
+FusionPass::FusionPass(const FusionConfig& config, const Program& program,
+                       std::vector<TraceObserver*> downstream)
+    : config_(requireArch(config, program)),
+      codeBase_(program.codeBase),
+      codeWords_(program.code.size()),
+      kernelMap_(program),
+      downstream_(std::move(downstream)) {
+  for (const std::string& name : kernelMap_.names()) {
+    kernels_.push_back(KernelFusion{name, 0, {}});
   }
 
   // Static branch-target scan: any word a direct branch or jump in the
@@ -223,19 +203,6 @@ FusionPass::FusionPass(const FusionConfig& config, const Program& program,
   }
 }
 
-std::int32_t FusionPass::kernelOf(const RetiredInst& inst) const {
-  if (inst.staticIndex != RetiredInst::kNoStaticIndex &&
-      inst.staticIndex < wordKernel_.size()) {
-    return wordKernel_[inst.staticIndex];
-  }
-  for (const Region& region : regions_) {
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      return region.kernelIndex;
-    }
-  }
-  return -1;
-}
-
 bool FusionPass::isBranchTarget(const RetiredInst& inst) const {
   if (inst.staticIndex != RetiredInst::kNoStaticIndex &&
       inst.staticIndex < branchTarget_.size()) {
@@ -255,7 +222,7 @@ std::optional<FusionRule> FusionPass::match(const RetiredInst& a,
   // kernel region (both outside every kernel also qualifies), and the
   // second half must not be enterable mid-pair via a branch.
   if (b.pc != a.pc + 4) return std::nullopt;
-  if (kernelOf(a) != kernelOf(b)) return std::nullopt;
+  if (kernelMap_.slotOf(a) != kernelMap_.slotOf(b)) return std::nullopt;
   if (isBranchTarget(b)) return std::nullopt;
 
   const std::uint32_t ea = a.encoding;
@@ -349,7 +316,7 @@ void FusionPass::emitFused(const RetiredInst& a, const RetiredInst& b,
 
   ++pairsTotal_;
   ++pairsByRule_[static_cast<std::size_t>(rule)];
-  const std::int32_t kernel = kernelOf(a);
+  const std::int32_t kernel = kernelMap_.slotOf(a);
   if (kernel >= 0) {
     KernelFusion& stats = kernels_[static_cast<std::size_t>(kernel)];
     ++stats.pairs;

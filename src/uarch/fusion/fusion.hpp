@@ -156,10 +156,6 @@ class FusionPass final : public TraceObserver {
   }
 
  private:
-  /// Kernel slot for a record (-1 = outside every kernel), via the
-  /// staticIndex table with a pc range-search fallback for hand-built
-  /// streams (mirrors PathLengthCounter).
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst) const;
   [[nodiscard]] bool isBranchTarget(const RetiredInst& inst) const;
 
   /// First matching enabled rule for the adjacent pair, if any.
@@ -175,17 +171,9 @@ class FusionPass final : public TraceObserver {
   std::uint64_t codeBase_ = 0;
   std::size_t codeWords_ = 0;
 
-  /// Per code word: kernel slot (-1 none), from Program::kernelWordIndex.
-  std::vector<std::int32_t> wordKernel_;
+  KernelMap kernelMap_;
   /// Per code word: 1 when some static direct branch/jump targets it.
   std::vector<std::uint8_t> branchTarget_;
-
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::int32_t kernelIndex;
-  };
-  std::vector<Region> regions_;  ///< pc fallback for staticIndex-less records
 
   std::vector<TraceObserver*> downstream_;
   std::vector<RetiredInst> out_;  ///< per-forward output buffer
@@ -195,7 +183,7 @@ class FusionPass final : public TraceObserver {
   std::uint64_t output_ = 0;
   std::uint64_t pairsTotal_ = 0;
   std::array<std::uint64_t, kFusionRuleCount> pairsByRule_{};
-  std::vector<KernelFusion> kernels_;
+  std::vector<KernelFusion> kernels_;  ///< one per KernelMap slot
   std::uint64_t unattributedPairs_ = 0;
 };
 

@@ -18,40 +18,12 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 
 CacheModelAnalyzer::CacheModelAnalyzer(const CacheConfig& config,
                                        const Program& program)
-    : hierarchy_(config) {
-  // Validates kernel-region non-overlap (ValidationFault on violation).
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
-
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    std::size_t kernelIndex = kernels_.size();
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      if (kernels_[i].name == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernels_.size()) {
-      KernelStats stats;
-      stats.name = symbol.name;
-      kernels_.push_back(std::move(stats));
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back({symbol.addr, symbol.addr + symbol.size, kernelIndex});
+    : hierarchy_(config), kernelMap_(program) {
+  for (const std::string& name : kernelMap_.names()) {
+    KernelStats stats;
+    stats.name = name;
+    kernels_.push_back(std::move(stats));
   }
-  std::sort(regions_.begin(), regions_.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
-  }
-
   lineSets_.resize(kernels_.size() + 1);  // last slot = whole program
 }
 
@@ -59,29 +31,6 @@ void CacheModelAnalyzer::onRetire(const RetiredInst& inst) { retireOne(inst); }
 
 void CacheModelAnalyzer::onRetireBlock(std::span<const RetiredInst> block) {
   for (const RetiredInst& inst : block) retireOne(inst);
-}
-
-std::int32_t CacheModelAnalyzer::kernelOf(const RetiredInst& inst) {
-  if (inst.staticIndex < wordKernel_.size()) {
-    return wordKernel_[inst.staticIndex];
-  }
-  if (lastRegion_ != SIZE_MAX) {
-    const Region& region = regions_[lastRegion_];
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), inst.pc,
-      [](std::uint64_t pc, const Region& region) { return pc < region.begin; });
-  if (it != regions_.begin()) {
-    const Region& region = *(it - 1);
-    if (inst.pc < region.end) {
-      lastRegion_ = static_cast<std::size_t>(&region - regions_.data());
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  return -1;
 }
 
 void CacheModelAnalyzer::recordLines(std::uint64_t addr, std::uint32_t size,
@@ -110,7 +59,7 @@ void CacheModelAnalyzer::recordLines(std::uint64_t addr, std::uint32_t size,
 
 void CacheModelAnalyzer::retireOne(const RetiredInst& inst) {
   ++instructions_;
-  const std::int32_t kernel = kernelOf(inst);
+  const std::int32_t kernel = kernelMap_.slotOf(inst);
   KernelStats* stats =
       kernel < 0 ? nullptr : &kernels_[static_cast<std::size_t>(kernel)];
   if (stats != nullptr) ++stats->instructions;
@@ -138,7 +87,6 @@ void CacheModelAnalyzer::reset() {
   instructions_ = 0;
   footprintLines_ = 0;
   lineSetDigest_ = 0;
-  lastRegion_ = SIZE_MAX;
   for (KernelStats& stats : kernels_) {
     const std::string name = stats.name;
     stats = KernelStats{};

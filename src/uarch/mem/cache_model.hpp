@@ -90,15 +90,7 @@ class CacheModelAnalyzer final : public TraceObserver {
   void reset();
 
  private:
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void retireOne(const RetiredInst& inst);
-  /// kernels_ slot for this record, or -1 when outside every kernel.
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   void recordLines(std::uint64_t addr, std::uint32_t size,
                    std::int32_t kernel);
 
@@ -107,14 +99,8 @@ class CacheModelAnalyzer final : public TraceObserver {
   std::uint64_t footprintLines_ = 0;
   std::uint64_t lineSetDigest_ = 0;
 
-  // Static attribution (see PathLengthCounter): per code word, the
-  // kernels_ slot to credit, indexed by RetiredInst::staticIndex, with a
-  // pc range-search fallback for records without static metadata.
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
-  std::vector<KernelStats> kernels_;
+  KernelMap kernelMap_;
+  std::vector<KernelStats> kernels_;  ///< one per KernelMap slot
   /// Membership sets behind footprintLines/lineSetDigest: one per kernel,
   /// plus one whole-program set at index kernels_.size().
   std::vector<FlatHashMap64<std::uint8_t>> lineSets_;

@@ -98,7 +98,8 @@ MemSystemAnalyzer::MemSystemAnalyzer(const CacheConfig& config,
                                      std::span<const unsigned> coreCounts)
     : config_((validateCacheConfig(config), config)),
       hierarchy_(config),
-      tlb_(config.tlb ? *config.tlb : TlbConfig{}) {
+      tlb_(config.tlb ? *config.tlb : TlbConfig{}),
+      kernelMap_(program) {
   for (const unsigned cores : coreCounts) {
     if (cores == 0) continue;
     const bool seen =
@@ -109,39 +110,11 @@ MemSystemAnalyzer::MemSystemAnalyzer(const CacheConfig& config,
     if (!seen) shared_.emplace_back(config_, cores);
   }
 
-  // Static kernel attribution, exactly as in CacheModelAnalyzer.
-  const std::vector<std::int32_t> symbolOfWord = program.kernelWordIndex();
-
-  std::vector<std::size_t> symbolToKernel(program.kernels.size());
-  for (std::size_t s = 0; s < program.kernels.size(); ++s) {
-    const Symbol& symbol = program.kernels[s];
-    std::size_t kernelIndex = kernels_.size();
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      if (kernels_[i].name == symbol.name) {
-        kernelIndex = i;
-        break;
-      }
-    }
-    if (kernelIndex == kernels_.size()) {
-      MemKernelStats stats;
-      stats.name = symbol.name;
-      kernels_.push_back(std::move(stats));
-    }
-    symbolToKernel[s] = kernelIndex;
-    regions_.push_back({symbol.addr, symbol.addr + symbol.size, kernelIndex});
+  for (const std::string& name : kernelMap_.names()) {
+    MemKernelStats stats;
+    stats.name = name;
+    kernels_.push_back(std::move(stats));
   }
-  std::sort(regions_.begin(), regions_.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-
-  wordKernel_.resize(symbolOfWord.size());
-  for (std::size_t w = 0; w < symbolOfWord.size(); ++w) {
-    wordKernel_[w] =
-        symbolOfWord[w] < 0
-            ? -1
-            : static_cast<std::int32_t>(
-                  symbolToKernel[static_cast<std::size_t>(symbolOfWord[w])]);
-  }
-
   pageSets_.resize(kernels_.size() + 1);  // last slot = whole program
 }
 
@@ -149,29 +122,6 @@ void MemSystemAnalyzer::onRetire(const RetiredInst& inst) { retireOne(inst); }
 
 void MemSystemAnalyzer::onRetireBlock(std::span<const RetiredInst> block) {
   for (const RetiredInst& inst : block) retireOne(inst);
-}
-
-std::int32_t MemSystemAnalyzer::kernelOf(const RetiredInst& inst) {
-  if (inst.staticIndex < wordKernel_.size()) {
-    return wordKernel_[inst.staticIndex];
-  }
-  if (lastRegion_ != SIZE_MAX) {
-    const Region& region = regions_[lastRegion_];
-    if (inst.pc >= region.begin && inst.pc < region.end) {
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), inst.pc,
-      [](std::uint64_t pc, const Region& region) { return pc < region.begin; });
-  if (it != regions_.begin()) {
-    const Region& region = *(it - 1);
-    if (inst.pc < region.end) {
-      lastRegion_ = static_cast<std::size_t>(&region - regions_.data());
-      return static_cast<std::int32_t>(region.kernelIndex);
-    }
-  }
-  return -1;
 }
 
 void MemSystemAnalyzer::accessMemory(std::uint64_t addr, std::uint32_t size,
@@ -232,7 +182,7 @@ void MemSystemAnalyzer::accessMemory(std::uint64_t addr, std::uint32_t size,
 
 void MemSystemAnalyzer::retireOne(const RetiredInst& inst) {
   ++instructions_;
-  const std::int32_t kernel = kernelOf(inst);
+  const std::int32_t kernel = kernelMap_.slotOf(inst);
   if (kernel >= 0) ++kernels_[static_cast<std::size_t>(kernel)].instructions;
 
   for (const MemAccess& access : inst.loads) {
@@ -290,7 +240,6 @@ void MemSystemAnalyzer::reset() {
   instructions_ = 0;
   footprintPages_ = 0;
   pageSetDigest_ = 0;
-  lastRegion_ = SIZE_MAX;
   for (MemKernelStats& stats : kernels_) {
     const std::string name = stats.name;
     stats = MemKernelStats{};

@@ -148,14 +148,7 @@ class MemSystemAnalyzer final : public TraceObserver {
     void reset();
   };
 
-  struct Region {
-    std::uint64_t begin;
-    std::uint64_t end;
-    std::size_t kernelIndex;
-  };
-
   void retireOne(const RetiredInst& inst);
-  [[nodiscard]] std::int32_t kernelOf(const RetiredInst& inst);
   void accessMemory(std::uint64_t addr, std::uint32_t size, bool write,
                     std::int32_t kernel);
 
@@ -167,11 +160,8 @@ class MemSystemAnalyzer final : public TraceObserver {
   std::uint64_t footprintPages_ = 0;
   std::uint64_t pageSetDigest_ = 0;
 
-  std::vector<std::int32_t> wordKernel_;
-  std::vector<Region> regions_;
-  std::size_t lastRegion_ = SIZE_MAX;
-
-  std::vector<MemKernelStats> kernels_;
+  KernelMap kernelMap_;
+  std::vector<MemKernelStats> kernels_;  ///< one per KernelMap slot
   /// Page membership sets: one per kernel, plus the whole program last.
   std::vector<FlatHashMap64<std::uint8_t>> pageSets_;
 };

@@ -1,6 +1,8 @@
 // JsonValue: the journal/pipe document model (ISSUE 6).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/fault.hpp"
 #include "support/json_lite.hpp"
 
@@ -104,6 +106,28 @@ TEST(JsonLite, TryParseProbesTornLinesWithoutThrowing) {
   const auto whole = JsonValue::tryParse("{\"type\":\"end\",\"cells\":20}");
   ASSERT_TRUE(whole.has_value());
   EXPECT_EQ(whole->at("cells").asUint(), 20u);
+}
+
+// The parser recurses per nesting level; a hostile client line of a million
+// '[' must come back as a rejected document, not a stack overflow.
+TEST(JsonLite, DeepNestingIsRejectedNotACrash) {
+  const std::size_t deep = 1'000'000;
+  EXPECT_FALSE(JsonValue::tryParse(std::string(deep, '[')).has_value());
+  const std::string balanced = std::string(deep, '[') + std::string(deep, ']');
+  EXPECT_FALSE(JsonValue::tryParse(balanced).has_value());
+  EXPECT_THROW(JsonValue::parse(balanced), ConfigError);
+
+  // The limit is 128 levels: the deepest accepted document round-trips.
+  const std::string limit = std::string(128, '[') + std::string(128, ']');
+  EXPECT_EQ(JsonValue::parse(limit).dump(), limit);
+  const std::string over = std::string(129, '[') + std::string(129, ']');
+  EXPECT_THROW(JsonValue::parse(over), ConfigError);
+  const std::string objects = [] {
+    std::string text;
+    for (int i = 0; i < 129; ++i) text += "{\"a\":";
+    return text + "1" + std::string(129, '}');
+  }();
+  EXPECT_THROW(JsonValue::parse(objects), ConfigError);
 }
 
 TEST(JsonLite, WrongKindAccessThrowsConfigError) {

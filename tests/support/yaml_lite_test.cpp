@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace riscmp::yaml {
 namespace {
 
@@ -112,6 +114,24 @@ TEST(YamlLite, BadScalarConversions) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.key(), "missing");
   }
+}
+
+/// `levels` mappings, each nested one space deeper than its parent.
+std::string nestedMappings(int levels) {
+  std::string text;
+  for (int i = 0; i < levels - 1; ++i) text += std::string(i, ' ') + "k:\n";
+  return text + std::string(levels - 1, ' ') + "leaf: 1\n";
+}
+
+TEST(YamlLite, DeepNestingIsRejectedNotACrash) {
+  EXPECT_EQ(parse(nestedMappings(128)).size(), 1u);
+  try {
+    parse(nestedMappings(129));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 129);
+  }
+  EXPECT_THROW(parse(nestedMappings(2000)), ParseError);
 }
 
 TEST(YamlLite, KeyOrderPreserved) {
