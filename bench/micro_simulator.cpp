@@ -20,10 +20,9 @@
 
 #include "aarch64/decode.hpp"
 #include "analysis/critical_path.hpp"
-#include "analysis/dep_distance.hpp"
-#include "analysis/path_length.hpp"
 #include "analysis/windowed_cp.hpp"
 #include "core/machine.hpp"
+#include "engine/engine.hpp"
 #include "kgen/compile.hpp"
 #include "riscv/decode.hpp"
 #include "uarch/mem/cache_model.hpp"
@@ -110,30 +109,31 @@ void BM_EmulateWithOoOCore(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulateWithOoOCore);
 
-/// End-to-end engine-cell shape: a fresh Machine and a fresh full analyzer
-/// stack per iteration, one simulation pass feeding all five analyses. The
-/// items/sec counter is simulated instructions per second (MIPS ÷ 1e6).
+/// End-to-end engine-cell shape: a fresh Machine and a fresh paper
+/// analyzer stack per iteration, built by the engine's own CellObservers,
+/// so one simulation pass feeds path length plus the four CP-family
+/// analyses through one shared dependency front end. The items/sec counter
+/// is simulated instructions per second (MIPS ÷ 1e6).
 void runStreamEndToEnd(benchmark::State& state, Arch arch) {
   const auto compiled = compiledStream(arch);
   const LatencyTable latencies =
       uarch::CoreModel::named(arch == Arch::Rv64 ? "riscv-tx2" : "tx2")
           .latencies;
+  engine::EngineOptions engineOptions;
+  engineOptions.analyses = engine::kPathLength | engine::kCriticalPath |
+                           engine::kScaledCP | engine::kWindowedCP |
+                           engine::kDepDistance;
+  engineOptions.latenciesFor = [&](Arch) { return &latencies; };
   MachineOptions options;
   options.maxInstructions = 1'000'000'000;
   std::uint64_t instructions = 0;
   for (auto _ : state) {
-    PathLengthCounter pathLength(compiled.program);
-    CriticalPathAnalyzer criticalPath;
-    CriticalPathAnalyzer scaledCp(latencies);
-    WindowedCPAnalyzer windowed(WindowedCPAnalyzer::paperWindowSizes());
-    DependencyDistanceAnalyzer depDistance;
-
+    engine::CellObservers cell(engineOptions, engineOptions.analyses, arch,
+                               compiled.program);
     Machine machine(compiled.program, options);
-    machine.addObserver(pathLength);
-    machine.addObserver(criticalPath);
-    machine.addObserver(scaledCp);
-    machine.addObserver(windowed);
-    machine.addObserver(depDistance);
+    for (TraceObserver* observer : cell.observers()) {
+      machine.addObserver(*observer);
+    }
     instructions += machine.run().instructions;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(instructions));

@@ -69,17 +69,17 @@ void ThroughputBoundAnalyzer::account(Context& context,
   }
   ++context.portCycles[best];
 
-  // Scaled-CP chain, mirroring CriticalPathAnalyzer::retireOne exactly:
-  // loads and stores cost 1 (§5.1 store-forwarding assumption), everything
-  // else its group latency; memory dependencies via 8-byte chunks.
+  // Scaled-CP chain over this context's own sub-trace, with the same rule
+  // as CriticalPathAnalyzer: loads and stores cost 1 (§5.1 store-forwarding
+  // assumption), everything else its group latency; memory dependencies via
+  // the 8-byte chunks of analysis/dependencies.hpp.
   std::uint64_t depth = 0;
   for (const Reg& reg : inst.srcs) {
     depth = std::max(depth, context.regDepth[reg.dense()]);
   }
   for (const MemAccess& access : inst.loads) {
-    const std::uint64_t first = access.addr >> 3;
-    const std::uint64_t last = (access.addr + access.size - 1) >> 3;
-    for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
+    const ChunkRange range = chunkRange(access);
+    for (std::uint64_t chunk = range.first; chunk <= range.last; ++chunk) {
       if (const std::uint64_t* found = context.memDepth.find(chunk)) {
         depth = std::max(depth, *found);
       }
@@ -92,9 +92,8 @@ void ThroughputBoundAnalyzer::account(Context& context,
     context.regDepth[reg.dense()] = depth;
   }
   for (const MemAccess& access : inst.stores) {
-    const std::uint64_t first = access.addr >> 3;
-    const std::uint64_t last = (access.addr + access.size - 1) >> 3;
-    for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
+    const ChunkRange range = chunkRange(access);
+    for (std::uint64_t chunk = range.first; chunk <= range.last; ++chunk) {
       context.memDepth.assign(chunk, depth);
     }
   }

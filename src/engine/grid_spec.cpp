@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -84,6 +85,23 @@ support::JsonValue gridSpecToJson(const GridSpec& spec) {
   return doc;
 }
 
+namespace {
+
+/// `value` as a count in [1, UINT32_MAX]; anything else is a ConfigError
+/// naming `key` rather than a silently truncated or dropped entry.
+std::uint32_t positiveUint32(std::uint64_t value, const char* key,
+                             const char* what) {
+  if (value == 0 || value > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError(std::string("grid spec: ") + what +
+                          " must be in [1, 4294967295], got " +
+                          std::to_string(value),
+                      {}, 0, key);
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+}  // namespace
+
 GridSpec gridSpecFromJson(const support::JsonValue& value) {
   if (value.kind() != support::JsonValue::Kind::Object) {
     throw ConfigError("grid spec: expected a JSON object");
@@ -114,7 +132,8 @@ GridSpec gridSpecFromJson(const support::JsonValue& value) {
   spec.gcc12Analyses = static_cast<unsigned>(gcc12);
   spec.windowSizes.clear();
   for (const support::JsonValue& size : value.at("windows").items()) {
-    spec.windowSizes.push_back(static_cast<std::uint32_t>(size.asUint()));
+    spec.windowSizes.push_back(
+        positiveUint32(size.asUint(), "windows", "window sizes"));
   }
   spec.budget = value.at("budget").asUint();
   spec.configDir = value.at("config_dir").asString();
@@ -122,11 +141,8 @@ GridSpec gridSpecFromJson(const support::JsonValue& value) {
   spec.modelRv64 = value.at("model_rv64").asString();
   spec.memCores.clear();
   for (const support::JsonValue& cores : value.at("mem_cores").items()) {
-    if (cores.asUint() == 0) {
-      throw ConfigError("grid spec: mem_cores entries must be positive", {},
-                        0, "mem_cores");
-    }
-    spec.memCores.push_back(static_cast<unsigned>(cores.asUint()));
+    spec.memCores.push_back(
+        positiveUint32(cores.asUint(), "mem_cores", "mem_cores entries"));
   }
   spec.requireModels = value.at("require_models").asBool();
   return spec;

@@ -22,16 +22,10 @@ struct Reg {
   constexpr bool operator==(const Reg&) const = default;
 
   /// Dense index into the per-core dependency-depth array.
+  /// Branch-free: it runs for every operand of every retired instruction.
   [[nodiscard]] constexpr unsigned dense() const {
-    switch (cls) {
-      case RegClass::Gp:
-        return idx;
-      case RegClass::Fp:
-        return 32u + idx;
-      case RegClass::Flags:
-        return 64u;
-    }
-    return 64u;
+    return 32u * static_cast<unsigned>(cls) +
+           (cls == RegClass::Flags ? 0u : idx);
   }
 
   static constexpr unsigned kDenseCount = 65;

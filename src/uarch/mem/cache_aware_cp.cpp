@@ -2,20 +2,10 @@
 
 #include <algorithm>
 
+// Memory dependencies use the chunk rule of analysis/dependencies.hpp, the
+// same granularity as CriticalPathAnalyzer, so the two modes differ only in
+// load cost, never in chain shape.
 namespace riscmp::uarch::mem {
-namespace {
-
-/// 8-byte chunk range covered by an access — the same dependency
-/// granularity as CriticalPathAnalyzer, so the two modes differ only in
-/// load cost, never in chain shape.
-inline std::pair<std::uint64_t, std::uint64_t> chunkRange(
-    const MemAccess& access) {
-  const std::uint64_t first = access.addr >> 3;
-  const std::uint64_t last = (access.addr + access.size - 1) >> 3;
-  return {first, last};
-}
-
-}  // namespace
 
 CacheAwareCpAnalyzer::CacheAwareCpAnalyzer(const LatencyTable& latencies,
                                            const CacheConfig& config)

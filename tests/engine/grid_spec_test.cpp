@@ -76,6 +76,51 @@ TEST(GridSpecJson, RejectsZeroMemCores) {
   EXPECT_THROW(gridSpecFromJson(gridSpecToJson(spec)), ConfigError);
 }
 
+/// The spec's JSON with `key` replaced by the one-element array [value].
+support::JsonValue withOneEntry(const std::string& key, std::uint64_t value) {
+  support::JsonValue doc = gridSpecToJson(smallSpec());
+  support::JsonValue array = support::JsonValue::array();
+  array.push(support::JsonValue(value));
+  doc.set(key, array);
+  return doc;
+}
+
+/// The ConfigError gridSpecFromJson throws for `doc` (fails if none).
+ConfigError rejection(const support::JsonValue& doc) {
+  try {
+    gridSpecFromJson(doc);
+  } catch (const ConfigError& error) {
+    return error;
+  }
+  ADD_FAILURE() << "gridSpecFromJson accepted " << doc.dump();
+  return ConfigError("accepted");
+}
+
+TEST(GridSpecJson, RejectsWindowSizesOutsideUint32) {
+  // 4294967300 used to be truncated to a 4-instruction window; 0 used to
+  // make a window that holds nothing.
+  for (const std::uint64_t size : {std::uint64_t{0}, std::uint64_t{4294967296},
+                                   std::uint64_t{4294967300}}) {
+    const ConfigError error = rejection(withOneEntry("windows", size));
+    EXPECT_EQ(error.key(), "windows") << size;
+  }
+  const GridSpec largest =
+      gridSpecFromJson(withOneEntry("windows", std::uint64_t{4294967295u}));
+  EXPECT_EQ(largest.windowSizes, std::vector<std::uint32_t>{4294967295u});
+}
+
+TEST(GridSpecJson, RejectsMemCoresOutsideUint32) {
+  // 4294967296 used to pass the zero check and become 0 cores (silently
+  // dropped by the memory system); 4294967298 used to become 2.
+  for (const std::uint64_t cores :
+       {std::uint64_t{4294967296}, std::uint64_t{4294967298}}) {
+    const ConfigError error = rejection(withOneEntry("mem_cores", cores));
+    EXPECT_EQ(error.key(), "mem_cores") << cores;
+  }
+  EXPECT_EQ(gridSpecFromJson(withOneEntry("mem_cores", std::uint64_t{3})).memCores,
+            std::vector<unsigned>{3});
+}
+
 TEST(GridShape, FiltersSuiteAndDefaultsConfigs) {
   const GridShape shape = resolveGridShape(smallSpec());
   ASSERT_EQ(shape.suite.size(), 2u);
