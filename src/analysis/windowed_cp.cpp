@@ -1,9 +1,27 @@
 #include "analysis/windowed_cp.hpp"
 
 #include <algorithm>
-#include <cstddef>
+#include <bit>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
 
 namespace riscmp {
+
+namespace {
+
+/// Slides saturate here: no trace reaches a second window this far out,
+/// and every lane offset stays within int64_t.
+constexpr std::uint64_t kMaxSlide = std::uint64_t{1} << 62;
+
+/// Lane `index` of a chunked per-lane vector.
+template <typename Chunk>
+auto& lane(std::vector<Chunk>& chunks, std::uint64_t index) {
+  constexpr std::size_t kWidth = std::tuple_size_v<Chunk>;
+  return chunks[index / kWidth][index % kWidth];
+}
+
+}  // namespace
 
 std::vector<std::uint32_t> WindowedCPAnalyzer::paperWindowSizes() {
   return {4, 16, 64, 200, 500, 1000, 2000};
@@ -14,127 +32,104 @@ WindowedCPAnalyzer::WindowedCPAnalyzer(std::vector<std::uint32_t> windowSizes,
                                        unsigned slideDenominator,
                                        const LatencyTable* latencies)
     : costs_(costTable(latencies)) {
-  const unsigned numerator = std::max(1u, slideNumerator);
-  const unsigned denominator = std::max(1u, slideDenominator);
+  const std::uint64_t numerator = std::max(1u, slideNumerator);
+  const std::uint64_t denominator = std::max(1u, slideDenominator);
+  std::uint64_t lanes = 0;
+  std::int64_t lowest = 0;  // the most negative lane offset
   for (const std::uint32_t size : windowSizes) {
-    const std::uint32_t slide =
-        std::max<std::uint32_t>(1, size * numerator / denominator);
-    sizes_.push_back(PerSize{size, slide, 0, {}});
+    if (size == 0) {
+      throw std::invalid_argument(
+          "windowed CP: window size 0 holds no instruction");
+    }
+    const std::uint64_t slide =
+        std::clamp<std::uint64_t>(size * numerator / denominator, 1, kMaxSlide);
+    const std::uint64_t count = (size + slide - 1) / slide;
+    sizes_.push_back(PerSize{size, count, lanes, slide, 0, 0, {}});
+    lanes += count;
     maxSize_ = std::max(maxSize_, size);
+    // Lane k first starts k slides in; a lane restarts count × slide - size
+    // records after its window ends.
+    lowest = std::min(lowest, -static_cast<std::int64_t>(std::max(
+                                  (count - 1) * slide, count * slide - size)));
   }
-  bySize_.resize(sizes_.size());
-  for (std::size_t s = 0; s < sizes_.size(); ++s) bySize_[s] = s;
-  std::stable_sort(bySize_.begin(), bySize_.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return sizes_[a].size < sizes_[b].size;
-                   });
+  // Lanes take the narrowest type that holds every depth (at most maxSize ×
+  // the largest cost) and every offset (from `lowest` up to maxSize).
+  const std::uint64_t highest =
+      std::uint64_t{maxSize_} *
+      std::max(1u, *std::max_element(costs_.begin(), costs_.end()));
+  const auto use = [&](auto lane) {  // false if `lane` is too narrow
+    using Limits = std::numeric_limits<decltype(lane)>;
+    if (sizeof(lane) < 8 &&
+        (lowest < Limits::min() || highest > std::uint64_t{Limits::max()})) {
+      return false;
+    }
+    lanes_.emplace<Lanes<decltype(lane)>>();
+    chunks_ = (lanes * sizeof(lane) + 15) / 16;  // 16-byte chunks
+    return true;
+  };
+  use(std::int16_t{}) || use(std::int32_t{}) || use(std::int64_t{});
+  startLanes();
 }
 
 void WindowedCPAnalyzer::reset() {
   resetResolver();
-  entries_.clear();
-  overflow_.clear();
-  overflowHead_ = 0;
-  pending_ = Entry{};
-  pendingNear_ = 0;
-  depth_.clear();
-  bufferBase_ = 0;
+  for (PerSize& perSize : sizes_) perSize.cpStats.reset();
+  startLanes();
+}
+
+void WindowedCPAnalyzer::startLanes() {
   retired_ = 0;
+  rowCount_ = std::bit_ceil(std::min(maxSize_, 64u));
+  nextEnd_ = ~std::uint64_t{0};
   for (PerSize& perSize : sizes_) {
-    perSize.nextStart = 0;
-    perSize.cpStats.reset();
+    perSize.nextLane = 0;
+    perSize.nextEnd = perSize.size - 1;
+    nextEnd_ = std::min(nextEnd_, perSize.nextEnd);
   }
+  std::visit(
+      [&](auto& lanes) {
+        using Chunk = typename std::decay_t<decltype(lanes)>::Chunk;
+        Chunk idle;
+        idle.fill(-1);
+        lanes.rows.assign(rowCount_ * chunks_, Chunk{});
+        lanes.pending.assign(chunks_, Chunk{});
+        lanes.deepest.assign(chunks_, Chunk{});
+        // A padding lane keeps offset -1 and step 0: it never starts.
+        lanes.offset.assign(chunks_, idle);
+        lanes.step.assign(chunks_, Chunk{});
+        for (const PerSize& perSize : sizes_) {
+          for (std::uint64_t k = 0; k < perSize.lanes; ++k) {
+            // Lane k's first window starts k slides in.
+            lane(lanes.offset, perSize.firstLane + k) =
+                -static_cast<std::int64_t>(k * perSize.slide);
+            lane(lanes.step, perSize.firstLane + k) = 1;
+          }
+        }
+      },
+      lanes_);
 }
 
-void WindowedCPAnalyzer::growEntries() {
-  std::vector<Entry> grown(std::max<std::size_t>(64, entries_.size() * 2));
-  for (std::uint64_t i = bufferBase_; i < retired_; ++i) {
-    grown[i & (grown.size() - 1)] = entries_[i & (entries_.size() - 1)];
-  }
-  entries_ = std::move(grown);
-}
-
-void WindowedCPAnalyzer::growOverflow(std::uint32_t pendingFirst) {
-  // Live overflow: from the oldest live entry's first slot (or the pending
-  // entry's, when it is the only one) to the head.
-  const std::uint32_t tail =
-      bufferBase_ == retired_
-          ? pendingFirst
-          : entries_[bufferBase_ & (entries_.size() - 1)].first;
-  const std::uint32_t live = overflowHead_ - tail;
-  if (live < overflow_.size()) return;
-  std::vector<std::uint32_t> grown(
-      std::max<std::size_t>(64, overflow_.size() * 2));
-  for (std::uint32_t p = tail; p != overflowHead_; ++p) {
-    grown[p & (grown.size() - 1)] = overflow_[p & (overflow_.size() - 1)];
-  }
-  overflow_ = std::move(grown);
-}
-
-void WindowedCPAnalyzer::evaluateReadyWindows() {
-  // Ready windows in order of start. A window's depths depend only on its
-  // start, so the windows of every size sharing a start come from one DP,
-  // each reading the running maximum at its own length.
-  for (;;) {
-    std::uint64_t start = ~std::uint64_t{0};
-    for (const PerSize& perSize : sizes_) {
-      if (perSize.nextStart + perSize.size <= retired_) {
-        start = std::min(start, perSize.nextStart);
-      }
-    }
-    if (start == ~std::uint64_t{0}) break;
-    group_.clear();
-    for (const std::size_t s : bySize_) {
-      const PerSize& perSize = sizes_[s];
-      if (perSize.nextStart == start && start + perSize.size <= retired_) {
-        group_.push_back(s);
-      }
-    }
-    evaluateGroup(start);
-  }
-  // Instructions below every size's next window start are no longer needed.
-  std::uint64_t minStart = retired_;
-  for (const PerSize& perSize : sizes_) {
-    minStart = std::min(minStart, perSize.nextStart);
-  }
-  bufferBase_ = std::max(bufferBase_, minStart);
-}
-
-void WindowedCPAnalyzer::evaluateGroup(std::uint64_t start) {
-  const std::uint32_t longest = sizes_[group_.back()].size;
-  if (depth_.size() <= longest) depth_.resize(std::size_t{longest} + 1, 0);
-  std::uint64_t* depth = depth_.data() + 1;  // depth[-1] stays 0
-  // A producer at distance > j precedes the window start.
-  const auto at = [depth](std::uint32_t j, std::uint32_t distance) {
-    return depth[std::max<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(j) - distance, -1)];
-  };
-  const std::size_t entryMask = entries_.size() - 1;
-  const std::size_t overflowMask = overflow_.size() - 1;
-  std::uint64_t maxDepth = 0;
-  std::uint64_t previous = 0;  // the instruction before the start: outside
-  std::uint32_t j = 0;
-  for (const std::size_t s : group_) {  // ascending size
-    PerSize& perSize = sizes_[s];
-    for (; j < perSize.size; ++j) {
-      const Entry& entry = entries_[(start + j) & entryMask];
-      std::uint64_t d = std::max(at(j, entry.near[0]), at(j, entry.near[1]));
-      for (std::uint32_t k = 0; k < entry.more; ++k) {
-        d = std::max(d, at(j, overflow_[(entry.first + k) & overflowMask]));
-      }
-      // Fold the register-carried chain in last: it is the critical path.
-      // A mask, not a branch: about half the instructions are chained, in
-      // no pattern a predictor could learn.
-      const std::uint64_t carried =
-          previous & (std::uint64_t{0} - std::uint64_t{entry.chained});
-      d = std::max(d, carried) + entry.cost;
-      depth[j] = d;
-      previous = d;
-      maxDepth = std::max(maxDepth, d);
-    }
-    perSize.cpStats.add(static_cast<double>(maxDepth));
-    perSize.nextStart += perSize.slide;
-  }
+void WindowedCPAnalyzer::closeWindows() {
+  const std::uint64_t last = retired_ - 1;
+  nextEnd_ = ~std::uint64_t{0};
+  std::visit(
+      [&](auto& lanes) {
+        for (PerSize& perSize : sizes_) {
+          if (perSize.nextEnd == last) {
+            const std::uint64_t at = perSize.firstLane + perSize.nextLane;
+            auto& deepest = lane(lanes.deepest, at);
+            perSize.cpStats.add(static_cast<double>(deepest));
+            deepest = 0;
+            // The lane's next window starts lanes × slide after this one.
+            lane(lanes.offset, at) -=
+                static_cast<std::int64_t>(perSize.lanes * perSize.slide);
+            perSize.nextEnd += perSize.slide;
+            if (++perSize.nextLane == perSize.lanes) perSize.nextLane = 0;
+          }
+          nextEnd_ = std::min(nextEnd_, perSize.nextEnd);
+        }
+      },
+      lanes_);
 }
 
 std::vector<WindowedCPAnalyzer::WindowResult> WindowedCPAnalyzer::results()

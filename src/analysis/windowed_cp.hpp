@@ -7,19 +7,17 @@
 // Latency is not applied (§6.1). The tracked statistic is the mean CP per
 // window; mean ILP = W / mean CP (Figure 2).
 //
-// The analyzer keeps a ring of each instruction's producer distances, taken
-// from the shared dependency front end (analysis/dependencies.hpp). A
-// window's CP is a DP over the ring: an instruction's depth is its cost
-// plus the deepest producer inside the window. A producer before the window
-// start is ignored, which is exact because RAW names only the latest
-// writer: then nothing inside the window wrote that source before its use.
-// Partial trailing windows are discarded, matching the paper's method of
-// only evaluating full windows.
+// Windows are defined by trace index alone, so one forward pass over the
+// producers from the shared dependency front end (analysis/dependencies.hpp)
+// advances every live window, each in a lane of its own (DESIGN.md §5). A
+// producer before a window's start is ignored, which is exact because RAW
+// names only the latest writer. Partial trailing windows are discarded, as
+// the paper evaluates only full windows.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
+#include <variant>
 #include <vector>
 
 #include "analysis/dependencies.hpp"
@@ -37,6 +35,7 @@ class WindowedCPAnalyzer final
   /// of the window size (the paper uses 1/2 and defers adjusting it to
   /// future work); `latencies` optionally scales non-memory instructions
   /// as in the Section-5 analysis (the paper's windowed analysis does not).
+  /// Throws std::invalid_argument for a window size of 0.
   explicit WindowedCPAnalyzer(std::vector<std::uint32_t> windowSizes,
                               unsigned slideNumerator = 1,
                               unsigned slideDenominator = 2,
@@ -56,114 +55,117 @@ class WindowedCPAnalyzer final
   };
   [[nodiscard]] std::vector<WindowResult> results() const;
 
-  /// Buffering of one block as a resolver sink (see ResolvedObserver); the
-  /// windows it completes are evaluated when the block is finished.
-  /// Buffering the whole block first gives bit-identical per-window
-  /// statistics (window starts depend only on the retired count) while
-  /// amortising the per-size scan and the trim.
+  /// The lane DP as a resolver sink (see ResolvedObserver): each producer
+  /// is applied to every lane as it is reported.
   class Sink : public ResolverSink {
    public:
     static constexpr bool kProducers = true;
 
-    explicit Sink(WindowedCPAnalyzer& analyzer)
-        : analyzer_(analyzer), index_(analyzer.retired_) {}
-    void finish() { analyzer_.evaluateReadyWindows(); }
+    explicit Sink(WindowedCPAnalyzer& analyzer) : analyzer_(analyzer) {}
+    void finish() {}
 
     void source(std::uint32_t, std::uint64_t producer) {
-      analyzer_.addProducer(index_ - producer);
+      std::visit([&](auto& lanes) { analyzer_.addProducer(lanes, producer); },
+                 analyzer_.lanes_);
     }
-    void sourcesDone(std::uint8_t costClass) {
-      cost_ = analyzer_.costs_[costClass];
-    }
+    void sourcesDone(std::uint8_t cls) { cost_ = analyzer_.costs_[cls]; }
     void recordDone() {
-      analyzer_.pushRecord(cost_);
-      ++index_;
+      std::visit([&](auto& lanes) { analyzer_.retire(lanes, cost_); },
+                 analyzer_.lanes_);
     }
 
    private:
     WindowedCPAnalyzer& analyzer_;
-    std::uint64_t index_;  ///< trace index of the current record
     std::uint32_t cost_ = 1;
   };
 
  private:
-  /// A producer distance slot that holds none.
-  static constexpr std::uint32_t kNoDistance = ~std::uint32_t{0};
-
-  /// One buffered instruction: its chain cost and its producers inside the
-  /// longest window, as distances back. Distance 1 is the `chained` flag,
-  /// so the DP carries that depth in a register; the next two distances
-  /// sit inline (kNoDistance when absent) and any further ones in the
-  /// overflow ring, entries [first, first + more).
-  struct Entry {
-    std::uint32_t cost = 1;
-    std::array<std::uint32_t, 2> near = {kNoDistance, kNoDistance};
-    std::uint32_t first = 0;
-    std::uint16_t more = 0;
-    bool chained = false;
+  /// The lanes at one width. Each per-lane vector is stored in chunks of
+  /// one 16-byte SSE2 register, the chunk GCC's -O2 vectoriser keeps in a
+  /// register (DESIGN.md §5).
+  template <typename Lane>
+  struct Lanes {
+    using Chunk = std::array<Lane, 16 / sizeof(Lane)>;
+    std::vector<Chunk> rows;     ///< depth ring: record i's row at i & mask
+    std::vector<Chunk> pending;  ///< the current record's deepest producer
+    std::vector<Chunk> offset;   ///< index - window start; < 0 while idle
+    std::vector<Chunk> step;     ///< 1 for a window's lane, 0 for padding
+    std::vector<Chunk> deepest;  ///< each window's running maximum
   };
 
-  /// Add a producer `distance` back to the pending instruction. One no
-  /// window could hold with its consumer is dropped; repeats are kept (the
-  /// DP takes a max, so they cost a load, never a result).
-  void addProducer(std::uint64_t distance) {
-    if (distance >= maxSize_) return;
-    const auto d = static_cast<std::uint32_t>(distance);
-    if (d == 1) {
-      pending_.chained = true;
-    } else if (pendingNear_ < pending_.near.size()) {
-      pending_.near[pendingNear_++] = d;
-    } else {
-      growOverflow(pending_.first);
-      overflow_[(pending_.first + pending_.more++) & (overflow_.size() - 1)] =
-          d;
-      ++overflowHead_;
+  template <typename Lane>
+  void addProducer(Lanes<Lane>& lanes, std::uint64_t producer) {
+    const std::uint64_t distance = retired_ - producer;
+    if (distance >= maxSize_) return;  // before every window's start
+    const auto d = static_cast<Lane>(distance);
+    const auto* row =
+        lanes.rows.data() + (producer & (rowCount_ - 1)) * chunks_;
+    for (std::size_t k = 0; k < chunks_; ++k) {
+      auto pending = lanes.pending[k];
+      const auto offset = lanes.offset[k];
+      const auto depth = row[k];
+      for (std::size_t l = 0; l < pending.size(); ++l) {
+        // Only windows that started by the producer count it (a mask, not
+        // a select, which GCC would not vectorise).
+        pending[l] = std::max(pending[l],
+                              static_cast<Lane>(depth[l] & -(offset[l] >= d)));
+      }
+      lanes.pending[k] = pending;
     }
   }
-  /// Buffer the pending instruction with chain cost `cost`.
-  void pushRecord(std::uint32_t cost) {
-    if (retired_ - bufferBase_ == entries_.size()) growEntries();
-    pending_.cost = cost;
-    entries_[retired_++ & (entries_.size() - 1)] = pending_;
-    pending_ = Entry{};
-    pending_.first = overflowHead_;
-    pendingNear_ = 0;
+
+  template <typename Lane>
+  void retire(Lanes<Lane>& lanes, std::uint32_t cost) {
+    if (retired_ == rowCount_ && rowCount_ < maxSize_) {
+      rowCount_ *= 2;  // the ring has not wrapped: no row moves
+      lanes.rows.resize(rowCount_ * chunks_);
+    }
+    auto* row = lanes.rows.data() + (retired_ & (rowCount_ - 1)) * chunks_;
+    const auto c = static_cast<Lane>(cost);
+    for (std::size_t k = 0; k < chunks_; ++k) {
+      auto depth = lanes.pending[k];
+      auto offset = lanes.offset[k];
+      auto deepest = lanes.deepest[k];
+      const auto step = lanes.step[k];
+      for (std::size_t l = 0; l < depth.size(); ++l) {
+        depth[l] = static_cast<Lane>(depth[l] + c);
+        deepest[l] = std::max(deepest[l],
+                              static_cast<Lane>(depth[l] & -(offset[l] >= 0)));
+        offset[l] = static_cast<Lane>(offset[l] + step[l]);
+      }
+      row[k] = depth;
+      lanes.pending[k] = {};
+      lanes.offset[k] = offset;
+      lanes.deepest[k] = deepest;
+    }
+    if (retired_++ == nextEnd_) closeWindows();
   }
+
+  /// Start every lane over: no record retired, no window closed.
+  void startLanes();
+  /// Close the windows that ended at the last retired record: each adds
+  /// its lane's maximum to its size's statistics, and the lane restarts.
+  void closeWindows();
 
   struct PerSize {
     std::uint32_t size;
-    std::uint32_t slide;          ///< distance between window starts
-    std::uint64_t nextStart = 0;  ///< absolute index of the next window
+    std::uint64_t lanes;         ///< ceil(size / slide): windows live at once
+    std::uint64_t firstLane;
+    std::uint64_t slide;         ///< distance between window starts
+    std::uint64_t nextLane = 0;  ///< the lane closing next, from firstLane
+    std::uint64_t nextEnd = 0;   ///< last record of the next window
     RunningStats cpStats;
   };
 
-  void growEntries();
-  /// Make room for one more overflow distance of the pending entry,
-  /// whose distances start at `pendingFirst`.
-  void growOverflow(std::uint32_t pendingFirst);
-  void evaluateReadyWindows();
-  /// Evaluate the windows of every size in group_, all starting at `start`.
-  void evaluateGroup(std::uint64_t start);
-
-  /// Rings indexed by absolute position & (size - 1); both grow on demand
-  /// in powers of two. Instructions [bufferBase_, retired_) are live.
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> overflow_;
-  std::uint32_t overflowHead_ = 0;  ///< next free overflow slot (wraps)
-  Entry pending_;                   ///< the instruction being buffered
-  std::uint32_t pendingNear_ = 0;   ///< its inline distances so far
-
-  /// Window-local depths behind one zero: a producer before the window
-  /// start reads depth[-1].
-  std::vector<std::uint64_t> depth_;
-
-  std::uint64_t bufferBase_ = 0;
-  std::uint64_t retired_ = 0;
-  std::uint32_t maxSize_ = 0;  ///< producers this far back never count
   std::vector<PerSize> sizes_;
-  std::vector<std::size_t> bySize_;  ///< sizes_ indices, ascending size
-  std::vector<std::size_t> group_;   ///< ready sizes sharing one start
   CostTable costs_;
+  std::variant<Lanes<std::int16_t>, Lanes<std::int32_t>, Lanes<std::int64_t>>
+      lanes_;
+  std::size_t chunks_ = 0;     ///< chunks per lane vector
+  std::uint32_t maxSize_ = 0;  ///< producers this far back never count
+  std::uint64_t rowCount_ = 0;  ///< ring rows: up to bit_ceil(maxSize_)
+  std::uint64_t retired_ = 0;
+  std::uint64_t nextEnd_ = 0;  ///< the earliest nextEnd of any size
 };
 
 }  // namespace riscmp

@@ -153,7 +153,8 @@ std::vector<WindowedCPAnalyzer::WindowResult> referenceWindows(
   std::vector<WindowedCPAnalyzer::WindowResult> out;
   for (const std::uint32_t size : sizes) {
     RunningStats stats;
-    const std::size_t slide = std::max(1u, size * numerator / denominator);
+    const std::uint64_t slide = std::max<std::uint64_t>(
+        1, std::uint64_t{size} * numerator / denominator);
     for (std::size_t start = 0; start + size <= trace.size(); start += slide) {
       stats.add(static_cast<double>(
           referenceCp(trace, start, start + size, latencies)));
@@ -329,6 +330,7 @@ const std::vector<WindowConfig>& windowConfigs() {
       {{5, 64}, 1, 1, false},           // disjoint windows
       {{4, 16, 64}, 1, 2, true},        // latency-scaled
       {{7, 33}, 1, 8, true},
+      {{6, 40}, 3, 2, false},           // gaps between windows: idle lanes
   };
   return configs;
 }

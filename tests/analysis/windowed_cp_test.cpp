@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "analysis/windowed_cp.hpp"
 
 namespace riscmp {
@@ -134,15 +137,49 @@ TEST(WindowedCP, TinyTraceReportsZeroWindowsForLargeSizes) {
   // --scale a 2000-wide window never fills, so the result must say
   // windows == 0 (the report layer then prints "-") rather than a
   // NaN-bearing mean from RunningStats' empty min/max.
-  WindowedCPAnalyzer analyzer({4, 2000});
+  // The largest size also proves the depth ring grows with the trace: a
+  // ring sized to the window would not fit in memory.
+  WindowedCPAnalyzer analyzer({4, 2000, 4294967295u});
   for (int i = 0; i < 50; ++i) analyzer.onRetire(alu({1}, 1));
   analyzer.onProgramEnd();
   const auto results = analyzer.results();
-  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results.size(), 3u);
   EXPECT_GT(results[0].windows, 0u);
-  EXPECT_EQ(results[1].windows, 0u);
-  EXPECT_DOUBLE_EQ(results[1].meanCp, 0.0);
-  EXPECT_DOUBLE_EQ(results[1].meanIlp, 0.0);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].windows, 0u);
+    EXPECT_DOUBLE_EQ(results[i].meanCp, 0.0);
+    EXPECT_DOUBLE_EQ(results[i].meanIlp, 0.0);
+  }
+}
+
+TEST(WindowedCP, SlideBeyondThirtyTwoBitsLeavesOneWindowAtATime) {
+  // 2^31 × 2/1 is a slide of 2^32, which a 32-bit product wraps to 0.
+  WindowedCPAnalyzer analyzer({1u << 31}, 2, 1);
+  for (int i = 0; i < 50; ++i) analyzer.onRetire(alu({1}, 1));
+  analyzer.onProgramEnd();
+  EXPECT_EQ(analyzer.results()[0].windows, 0u);
+}
+
+// A serial chain of one latency-scaled group: every window's CP is exactly
+// size × latency. 32767 is the largest CP a 16-bit lane holds; 32768 needs
+// the next width.
+TEST(WindowedCP, LaneWidthBoundaryMatchesTheClosedForm) {
+  for (const auto& [size, latency] :
+       {std::pair<std::uint32_t, std::uint32_t>{151, 217}, {128, 256}}) {
+    SCOPED_TRACE("window CP " + std::to_string(size * latency));
+    LatencyTable latencies = unitLatencies();
+    latencies[static_cast<std::size_t>(InstGroup::FpMul)] = latency;
+    WindowedCPAnalyzer analyzer({size}, 1, 2, &latencies);
+    RetiredInst inst = alu({1}, 1);
+    inst.group = InstGroup::FpMul;
+    const std::uint32_t records = 4 * size;
+    for (std::uint32_t i = 0; i < records; ++i) analyzer.onRetire(inst);
+    const auto result = analyzer.results()[0];
+    EXPECT_EQ(result.windows, (records - size) / (size / 2) + 1);
+    EXPECT_EQ(result.minCp, static_cast<double>(size * latency));
+    EXPECT_EQ(result.maxCp, static_cast<double>(size * latency));
+    EXPECT_EQ(result.meanCp, static_cast<double>(size * latency));
+  }
 }
 
 }  // namespace

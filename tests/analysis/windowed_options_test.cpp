@@ -3,6 +3,9 @@
 // latency scaling (§6.1: "We also do not account for instruction latency").
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "analysis/windowed_cp.hpp"
 
 namespace riscmp {
@@ -74,6 +77,17 @@ TEST(WindowedOptions, DefaultMatchesPaperHalfSlide) {
     explicitHalf.onRetire(inst);
   }
   EXPECT_EQ(defaulted.results()[0].windows, explicitHalf.results()[0].windows);
+}
+
+TEST(WindowedOptions, ZeroWindowSizeIsRejected) {
+  try {
+    WindowedCPAnalyzer analyzer({4, 0});
+    FAIL() << "a window size of 0 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("window size 0"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace
