@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "analysis/dependencies.hpp"
 #include "support/stats.hpp"
@@ -44,36 +45,54 @@ class DependencyDistanceAnalyzer final
     return histogram_;
   }
 
-  /// The sampling of one block as a resolver sink (see ResolvedObserver):
-  /// each sample is taken inside the walk, so the serial mean update
-  /// overlaps with resolving the next records.
+  /// The sampling's sink type (see ResolvedObserver).
+  template <typename Visit>
+  void dispatchSink(const Visit& visit) {
+    visit(std::type_identity<Sink>{});
+  }
+
+  /// The sampling of one block as a resolver sink. Each sample is taken
+  /// inside the walk, so the serial mean update overlaps with resolving
+  /// the next records; the block works on its own copy of the statistics,
+  /// so that update's chain does not pass through memory.
   class Sink : public ResolverSink {
    public:
     static constexpr bool kProducers = true;
 
-    explicit Sink(DependencyDistanceAnalyzer& analyzer)
-        : analyzer_(analyzer), index_(analyzer.retired_) {}
-    void finish() { analyzer_.retired_ = index_; }
+    explicit Sink(DependencyDistanceAnalyzer& analyzer) : Sink(&analyzer) {}
+    /// A null `analyzer` is a sink that samples nothing (a front end
+    /// without dependency distance).
+    explicit Sink(DependencyDistanceAnalyzer* analyzer)
+        : analyzer_(analyzer) {
+      if (analyzer_ != nullptr) {
+        index_ = analyzer_->retired_;
+        stats_ = analyzer_->stats_;
+      }
+    }
+    void finish() {
+      if (analyzer_ == nullptr) return;
+      analyzer_->retired_ = index_;
+      analyzer_->stats_ = stats_;
+    }
 
     void source(std::uint32_t, std::uint64_t producer) {
+      if (analyzer_ == nullptr) return;
       // A producer always precedes its consumer, so distances are >= 1.
-      analyzer_.record(index_ - producer);
+      const std::uint64_t distance = index_ - producer;
+      stats_.add(static_cast<double>(distance));
+      const auto bucket =
+          static_cast<std::size_t>(std::bit_width(distance) - 1);
+      ++analyzer_->histogram_[bucket < kBuckets ? bucket : kBuckets - 1];
     }
     void recordDone() { ++index_; }
 
    private:
-    DependencyDistanceAnalyzer& analyzer_;
-    std::uint64_t index_;  ///< trace index of the current record
+    DependencyDistanceAnalyzer* analyzer_;
+    std::uint64_t index_ = 0;  ///< trace index of the current record
+    RunningStats stats_;
   };
 
  private:
-  void record(std::uint64_t distance) {
-    stats_.add(static_cast<double>(distance));
-    const auto bucket =
-        static_cast<std::size_t>(std::bit_width(distance) - 1);
-    ++histogram_[bucket < kBuckets ? bucket : kBuckets - 1];
-  }
-
   std::array<std::uint64_t, kBuckets> histogram_{};
   RunningStats stats_;
   std::uint64_t retired_ = 0;

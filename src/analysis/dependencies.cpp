@@ -1,6 +1,6 @@
 #include "analysis/dependencies.hpp"
 
-#include <optional>
+#include <type_traits>
 
 #include "analysis/critical_path.hpp"
 #include "analysis/dep_distance.hpp"
@@ -33,56 +33,77 @@ std::uint32_t DependencyResolver::allocatePage(std::uint64_t page) {
 
 namespace {
 
+/// A consumer that does not run.
+struct NoSink : ResolverSink {
+  void finish() {}
+};
+
 /// Every present consumer's sink, driven by one walk: each call goes to
-/// each sink in turn.
-template <bool kWithProducers>
+/// the CP chains, windowed CP and dependency distance in turn. The chains
+/// and windowed CP are compile-time parts (NoSink when absent), so each
+/// combination is a loop of its own; dependency distance, whose every
+/// sample is a long serial update anyway, is a null-tested sink rather
+/// than doubling the loops compiled here. FanOut is one aggregate that
+/// nothing takes the address of, so the compiler can keep its parts'
+/// state in registers.
+template <typename Chains, typename Windowed, bool kWithProducers>
 class FanOut {
  public:
   static constexpr bool kProducers = kWithProducers;
 
-  explicit FanOut(const DependencyConsumers& consumers) {
-    if (consumers.criticalPath) cp_.emplace(*consumers.criticalPath);
-    if (consumers.scaledCp) scaledCp_.emplace(*consumers.scaledCp);
-    if constexpr (kProducers) {
-      if (consumers.windowed) windowed_.emplace(*consumers.windowed);
-      if (consumers.distance) distance_.emplace(*consumers.distance);
-    }
-  }
+  FanOut(const DependencyConsumers& consumers,
+         std::vector<std::array<std::uint64_t, 2>>& pairedDepth)
+      : chains_(makeChains(consumers, pairedDepth)),
+        windowed_(makeWindowed(consumers.windowed)),
+        distance_(kProducers ? consumers.distance : nullptr) {}
 
-  void slotsGrew(std::uint32_t slotCount) {
-    each([&](auto& sink) { sink.slotsGrew(slotCount); });
-  }
+  void slotsGrew(std::uint32_t slotCount) { chains_.slotsGrew(slotCount); }
   void source(std::uint32_t slot, std::uint64_t producer) {
-    each([&](auto& sink) { sink.source(slot, producer); });
+    chains_.source(slot, producer);
+    windowed_.source(slot, producer);
+    if constexpr (kProducers) distance_.source(slot, producer);
   }
   void sourcesDone(std::uint8_t costClass) {
-    each([&](auto& sink) { sink.sourcesDone(costClass); });
+    chains_.sourcesDone(costClass);
+    windowed_.sourcesDone(costClass);
   }
-  void destination(std::uint32_t slot) {
-    each([&](auto& sink) { sink.destination(slot); });
-  }
+  void destination(std::uint32_t slot) { chains_.destination(slot); }
   void recordDone() {
-    each([](auto& sink) { sink.recordDone(); });
+    chains_.recordDone();
+    windowed_.recordDone();
+    if constexpr (kProducers) distance_.recordDone();
   }
   void finish() {
-    each([](auto& sink) { sink.finish(); });
+    chains_.finish();
+    windowed_.finish();
+    distance_.finish();
   }
 
  private:
-  template <typename Call>
-  void each(const Call& call) {
-    if (cp_) call(*cp_);
-    if (scaledCp_) call(*scaledCp_);
-    if constexpr (kProducers) {
-      if (windowed_) call(*windowed_);
-      if (distance_) call(*distance_);
+  static Chains makeChains(
+      const DependencyConsumers& consumers,
+      std::vector<std::array<std::uint64_t, 2>>& pairedDepth) {
+    if constexpr (std::is_same_v<Chains, CriticalPathSink<2>>) {
+      return Chains({consumers.criticalPath, consumers.scaledCp},
+                    pairedDepth);
+    } else if constexpr (std::is_same_v<Chains, CriticalPathSink<1>>) {
+      return Chains(consumers.criticalPath != nullptr ? *consumers.criticalPath
+                                                      : *consumers.scaledCp);
+    } else {
+      return Chains{};
+    }
+  }
+  static Windowed makeWindowed(WindowedCPAnalyzer* windowed) {
+    if constexpr (std::is_same_v<Windowed, NoSink>) {
+      return Windowed{};
+    } else {
+      return Windowed(*windowed);
     }
   }
 
-  std::optional<CriticalPathAnalyzer::Sink> cp_;
-  std::optional<CriticalPathAnalyzer::Sink> scaledCp_;
-  std::optional<WindowedCPAnalyzer::Sink> windowed_;
-  std::optional<DependencyDistanceAnalyzer::Sink> distance_;
+  Chains chains_;
+  Windowed windowed_;
+  DependencyDistanceAnalyzer::Sink distance_;
 };
 
 }  // namespace
@@ -90,20 +111,38 @@ class FanOut {
 DependencyFrontEnd::DependencyFrontEnd(const DependencyConsumers& consumers)
     : consumers_(consumers) {}
 
-template <bool kProducers>
-void DependencyFrontEnd::walk(std::span<const RetiredInst> block) {
-  FanOut<kProducers> sinks(consumers_);
+template <typename Chains, typename Windowed, bool kProducers>
+[[gnu::flatten]] void DependencyFrontEnd::walk(
+    std::span<const RetiredInst> block) {
+  FanOut<Chains, Windowed, kProducers> sinks(consumers_, pairedDepth_);
   resolver_.resolveInto(block, sinks);
   sinks.finish();
 }
 
 void DependencyFrontEnd::onRetireBlock(std::span<const RetiredInst> block) {
-  // CP and scaled CP index depth by slot, so an unwritten source already
-  // reads depth 0: only the other two analyses need producers.
-  if (consumers_.windowed != nullptr || consumers_.distance != nullptr) {
-    walk<true>(block);
+  // The chains' lane count and windowed CP's kernel are picked once per
+  // block. CP and scaled CP index depth by slot, so an unwritten source
+  // already reads depth 0: only the other two analyses need producers.
+  const auto withWindowed = [&]<typename Chains>() {
+    if (consumers_.windowed != nullptr) {
+      consumers_.windowed->dispatchSink(
+          [&]<typename Windowed>(std::type_identity<Windowed>) {
+            walk<Chains, Windowed, true>(block);
+          });
+    } else if (consumers_.distance != nullptr) {
+      walk<Chains, NoSink, true>(block);
+    } else {
+      walk<Chains, NoSink, false>(block);
+    }
+  };
+  const bool cp = consumers_.criticalPath != nullptr;
+  const bool scaled = consumers_.scaledCp != nullptr;
+  if (cp && scaled) {
+    withWindowed.template operator()<CriticalPathSink<2>>();
+  } else if (cp || scaled) {
+    withWindowed.template operator()<CriticalPathSink<1>>();
   } else {
-    walk<false>(block);
+    withWindowed.template operator()<NoSink>();
   }
 }
 

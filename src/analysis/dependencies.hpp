@@ -13,9 +13,10 @@
 // analyses consume it.
 //
 // Each consumer is a small dynamic programme written as a sink:
-//  - critical path and scaled CP keep an array-indexed depth per slot;
+//  - critical path and scaled CP keep an array-indexed depth per slot, as
+//    one lane each of a shared DP when both run;
 //  - dependency distance records `index - producer`;
-//  - windowed CP keeps a ring of producer distances.
+//  - windowed CP keeps a ring of depths with one lane per live window.
 // A DependencyFrontEnd runs every consumer of a cell inside one walk, so
 // each record is resolved once however many analyses read it. A consumer
 // attached to a Machine on its own runs the same walk through a private
@@ -26,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "isa/trace.hpp"
@@ -179,11 +181,13 @@ void DependencyResolver::resolveInto(std::span<const RetiredInst> block,
   retired_ = index;
 }
 
-/// A trace observer computed from resolved dependencies: `Analyzer::Sink`
-/// is its DP, constructed from the analyzer for each block and finished
-/// after it. Attached to a Machine on its own, the analyzer runs that sink
-/// in a private resolver's walk; a DependencyFrontEnd runs the same sink in
-/// the walk it shares.
+/// A trace observer computed from resolved dependencies. Its DP is a
+/// resolver sink, built from the analyzer for each block and finished
+/// after it; `Analyzer::dispatchSink(visit)` calls
+/// `visit(std::type_identity<Sink>{})` with the sink type its current
+/// configuration needs. Attached to a Machine on its own, the analyzer runs
+/// that sink in a private resolver's walk; a DependencyFrontEnd runs the
+/// same sink in the walk it shares.
 template <typename Analyzer>
 class ResolvedObserver : public TraceObserver {
  public:
@@ -191,9 +195,8 @@ class ResolvedObserver : public TraceObserver {
     onRetireBlock(std::span<const RetiredInst>(&inst, 1));
   }
   void onRetireBlock(std::span<const RetiredInst> block) final {
-    typename Analyzer::Sink sink(static_cast<Analyzer&>(*this));
-    resolver_.resolveInto(block, sink);
-    sink.finish();
+    static_cast<Analyzer&>(*this).dispatchSink(
+        [&]<typename Sink>(std::type_identity<Sink>) { walk<Sink>(block); });
   }
 
  protected:
@@ -201,6 +204,15 @@ class ResolvedObserver : public TraceObserver {
   void resetResolver() { resolver_.reset(); }
 
  private:
+  /// The sink is built inside the one function that runs the whole walk,
+  /// so its state can stay in registers from the first record to the last.
+  template <typename Sink>
+  [[gnu::flatten]] void walk(std::span<const RetiredInst> block) {
+    Sink sink(static_cast<Analyzer&>(*this));
+    resolver_.resolveInto(block, sink);
+    sink.finish();
+  }
+
   DependencyResolver resolver_;
 };
 
@@ -222,7 +234,9 @@ struct DependencyConsumers {
 };
 
 /// Resolves each block once, in one walk that runs every consumer's sink.
-/// Producers are tracked only when windowed CP or dependency distance runs.
+/// CP and scaled CP together are one two-lane DP over a depth array of
+/// the front end's own. Producers are tracked only when windowed CP or
+/// dependency distance runs.
 class DependencyFrontEnd final : public TraceObserver {
  public:
   explicit DependencyFrontEnd(const DependencyConsumers& consumers);
@@ -233,11 +247,14 @@ class DependencyFrontEnd final : public TraceObserver {
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
  private:
-  template <bool kProducers>
+  /// One block through the consumers' sinks, all built inside it.
+  template <typename Chains, typename Windowed, bool kProducers>
   void walk(std::span<const RetiredInst> block);
 
   DependencyResolver resolver_;
   DependencyConsumers consumers_;
+  /// {CP, scaled CP} depth per slot, when both run.
+  std::vector<std::array<std::uint64_t, 2>> pairedDepth_;
 };
 
 }  // namespace riscmp

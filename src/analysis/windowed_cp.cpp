@@ -14,13 +14,6 @@ namespace {
 /// and every lane offset stays within int64_t.
 constexpr std::uint64_t kMaxSlide = std::uint64_t{1} << 62;
 
-/// Lane `index` of a chunked per-lane vector.
-template <typename Chunk>
-auto& lane(std::vector<Chunk>& chunks, std::uint64_t index) {
-  constexpr std::size_t kWidth = std::tuple_size_v<Chunk>;
-  return chunks[index / kWidth][index % kWidth];
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> WindowedCPAnalyzer::paperWindowSizes() {
@@ -44,7 +37,9 @@ WindowedCPAnalyzer::WindowedCPAnalyzer(std::vector<std::uint32_t> windowSizes,
     const std::uint64_t slide =
         std::clamp<std::uint64_t>(size * numerator / denominator, 1, kMaxSlide);
     const std::uint64_t count = (size + slide - 1) / slide;
-    sizes_.push_back(PerSize{size, count, lanes, slide, 0, 0, {}});
+    laneSize_.insert(laneSize_.end(), count,
+                     static_cast<std::uint32_t>(sizes_.size()));
+    sizes_.push_back(PerSize{size, count, lanes, slide, {}});
     lanes += count;
     maxSize_ = std::max(maxSize_, size);
     // Lane k first starts k slides in; a lane restarts count × slide - size
@@ -80,53 +75,36 @@ void WindowedCPAnalyzer::reset() {
 void WindowedCPAnalyzer::startLanes() {
   retired_ = 0;
   rowCount_ = std::bit_ceil(std::min(maxSize_, 64u));
-  nextEnd_ = ~std::uint64_t{0};
-  for (PerSize& perSize : sizes_) {
-    perSize.nextLane = 0;
-    perSize.nextEnd = perSize.size - 1;
-    nextEnd_ = std::min(nextEnd_, perSize.nextEnd);
-  }
   std::visit(
       [&](auto& lanes) {
         using Chunk = typename std::decay_t<decltype(lanes)>::Chunk;
-        Chunk idle;
-        idle.fill(-1);
+        constexpr std::size_t kWidth = sizeof(Chunk) / sizeof(Chunk{}[0]);
+        const auto set = [](std::vector<Chunk>& chunks, std::uint64_t lane,
+                            std::int64_t value) {
+          chunks[lane / kWidth][lane % kWidth] = value;
+        };
         lanes.rows.assign(rowCount_ * chunks_, Chunk{});
         lanes.pending.assign(chunks_, Chunk{});
         lanes.deepest.assign(chunks_, Chunk{});
-        // A padding lane keeps offset -1 and step 0: it never starts.
-        lanes.offset.assign(chunks_, idle);
+        // A padding lane keeps offset -1 and step 0: it never starts, and
+        // its end (0) is never reached.
+        lanes.offset.assign(chunks_, Chunk{} - 1);
         lanes.step.assign(chunks_, Chunk{});
+        lanes.end.assign(chunks_, Chunk{});
+        lanes.restart.assign(chunks_, Chunk{});
         for (const PerSize& perSize : sizes_) {
+          const auto period =
+              static_cast<std::int64_t>(perSize.lanes * perSize.slide);
           for (std::uint64_t k = 0; k < perSize.lanes; ++k) {
-            // Lane k's first window starts k slides in.
-            lane(lanes.offset, perSize.firstLane + k) =
-                -static_cast<std::int64_t>(k * perSize.slide);
-            lane(lanes.step, perSize.firstLane + k) = 1;
+            const std::uint64_t at = perSize.firstLane + k;
+            // Lane k's first window starts k slides in; each next one
+            // starts lanes × slide after the last.
+            set(lanes.offset, at,
+                -static_cast<std::int64_t>(k * perSize.slide));
+            set(lanes.step, at, 1);
+            set(lanes.end, at, perSize.size);
+            set(lanes.restart, at, perSize.size - period);
           }
-        }
-      },
-      lanes_);
-}
-
-void WindowedCPAnalyzer::closeWindows() {
-  const std::uint64_t last = retired_ - 1;
-  nextEnd_ = ~std::uint64_t{0};
-  std::visit(
-      [&](auto& lanes) {
-        for (PerSize& perSize : sizes_) {
-          if (perSize.nextEnd == last) {
-            const std::uint64_t at = perSize.firstLane + perSize.nextLane;
-            auto& deepest = lane(lanes.deepest, at);
-            perSize.cpStats.add(static_cast<double>(deepest));
-            deepest = 0;
-            // The lane's next window starts lanes × slide after this one.
-            lane(lanes.offset, at) -=
-                static_cast<std::int64_t>(perSize.lanes * perSize.slide);
-            perSize.nextEnd += perSize.slide;
-            if (++perSize.nextLane == perSize.lanes) perSize.nextLane = 0;
-          }
-          nextEnd_ = std::min(nextEnd_, perSize.nextEnd);
         }
       },
       lanes_);

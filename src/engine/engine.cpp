@@ -106,10 +106,13 @@ CellObservers::CellObservers(const EngineOptions& options, unsigned analyses,
     if (const uarch::FusionConfig* fusion = options.fusionFor(arch)) {
       std::vector<TraceObserver*> fused;
       fused.push_back(&fusedPathLength_.emplace(program));
-      fused.push_back(&fusedCp_.emplace());
+      // Fused CP and scaled CP share one front end (one paired DP).
+      DependencyConsumers chains;
+      chains.criticalPath = &fusedCp_.emplace();
       if (latencies != nullptr) {
-        fused.push_back(&fusedScaledCp_.emplace(*latencies));
+        chains.scaledCp = &fusedScaledCp_.emplace(*latencies);
       }
+      fused.push_back(&fusedDependencies_.emplace(chains));
       observers_.push_back(
           &fusionPass_.emplace(*fusion, program, std::move(fused)));
     }

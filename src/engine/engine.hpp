@@ -299,8 +299,9 @@ struct EngineOptions {
 /// `analyses` that `options` can run for `arch`, all fed by one simulation
 /// pass. CP, scaled CP, windowed CP and dependency distance share one
 /// DependencyFrontEnd, so each retired instruction's dependencies are
-/// resolved once, in one walk that runs all their DPs. Single-run and
-/// self-referential: build a fresh set per cell.
+/// resolved once, in one walk that runs all their DPs; the fusion pass's
+/// CP and scaled CP share another over the macro-op stream. Single-run
+/// and self-referential: build a fresh set per cell.
 class CellObservers {
  public:
   CellObservers(const EngineOptions& options, unsigned analyses, Arch arch,
@@ -329,6 +330,7 @@ class CellObservers {
   std::optional<PathLengthCounter> fusedPathLength_;
   std::optional<CriticalPathAnalyzer> fusedCp_;
   std::optional<CriticalPathAnalyzer> fusedScaledCp_;
+  std::optional<DependencyFrontEnd> fusedDependencies_;
   std::optional<uarch::FusionPass> fusionPass_;
   std::vector<TraceObserver*> observers_;
 };

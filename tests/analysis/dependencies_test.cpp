@@ -206,7 +206,9 @@ struct WindowConfig {
   std::vector<std::uint32_t> sizes;
   unsigned numerator;
   unsigned denominator;
-  bool scaled;
+  /// 0: unscaled; otherwise the windows scale by the test latencies times
+  /// this factor.
+  std::uint32_t latencyScale;
 };
 
 struct Results {
@@ -239,6 +241,21 @@ std::vector<std::span<const RetiredInst>> blocksOf(
   return blocks;
 }
 
+LatencyTable testLatencies() {
+  LatencyTable table;
+  for (std::size_t g = 0; g < table.size(); ++g) {
+    table[g] = static_cast<std::uint32_t>(1 + (g * 7) % 13);
+  }
+  return table;
+}
+
+std::optional<LatencyTable> windowLatencies(const WindowConfig& config) {
+  if (config.latencyScale == 0) return std::nullopt;
+  LatencyTable table = testLatencies();
+  for (std::uint32_t& latency : table) latency *= config.latencyScale;
+  return table;
+}
+
 Results drive(const std::vector<RetiredInst>& trace, std::uint64_t seed,
               const LatencyTable& latencies,
               const std::vector<WindowConfig>& configs, Drive mode) {
@@ -247,8 +264,9 @@ Results drive(const std::vector<RetiredInst>& trace, std::uint64_t seed,
   DependencyDistanceAnalyzer distance;
   std::vector<WindowedCPAnalyzer> windowed;
   for (const WindowConfig& config : configs) {
+    const std::optional<LatencyTable> table = windowLatencies(config);
     windowed.emplace_back(config.sizes, config.numerator, config.denominator,
-                          config.scaled ? &latencies : nullptr);
+                          table ? &*table : nullptr);
   }
   std::vector<TraceObserver*> all{&cp, &scaled, &distance};
   for (WindowedCPAnalyzer& analyzer : windowed) all.push_back(&analyzer);
@@ -315,22 +333,32 @@ void expectSameWindows(const std::vector<WindowedCPAnalyzer::WindowResult>& a,
   }
 }
 
-LatencyTable testLatencies() {
-  LatencyTable table;
-  for (std::size_t g = 0; g < table.size(); ++g) {
-    table[g] = static_cast<std::uint32_t>(1 + (g * 7) % 13);
-  }
-  return table;
+std::vector<std::uint32_t> evenSizesTo40() {
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t size = 2; size <= 40; size += 2) sizes.push_back(size);
+  return sizes;
 }
 
+/// Every kernel the windowed analyzer can pick. Each size takes
+/// ceil(size / slide) lanes; 9 to 16 int16_t lanes (2 chunks) run held in
+/// registers, every other lane count in place, and depths past 32767 or
+/// 2^31 take int32_t or int64_t lanes (in place).
 const std::vector<WindowConfig>& windowConfigs() {
   static const std::vector<WindowConfig> configs = {
-      {{4, 16, 64, 200}, 1, 2, false},  // the paper's half slide
-      {{1, 3, 16, 3, 50}, 1, 8, false}, // repeated size, eighth slide
-      {{5, 64}, 1, 1, false},           // disjoint windows
-      {{4, 16, 64}, 1, 2, true},        // latency-scaled
-      {{7, 33}, 1, 8, true},
-      {{6, 40}, 3, 2, false},           // gaps between windows: idle lanes
+      {{4, 16, 64, 200}, 1, 2, 0},   // half slide: 8 lanes, in place
+      {{1, 3, 16, 3, 50}, 1, 8, 0},  // repeated size, eighth slide: 24
+      {{5, 64}, 1, 1, 0},            // disjoint windows: 2
+      {{4, 16, 64}, 1, 2, 1},        // latency-scaled: 6
+      {{7, 33}, 1, 8, 1},            // 16 lanes: in registers
+      {{6, 40}, 3, 2, 0},            // gaps between windows: idle lanes
+      {{4, 8, 16}, 1, 2, 0},         // all three close on records 15, 31, ...
+      {{6, 6}, 1, 2, 0},             // both close on every window end
+      {{3, 12}, 1, 12, 0},           // slide 1: 15 lanes
+      {{64, 500}, 1, 8, 0},          // E10's eighth slide: 17 lanes
+      {{4, 8, 12, 16, 20, 24, 28}, 1, 4, 0},  // 28 lanes, 4 chunks: in place
+      {evenSizesTo40(), 1, 2, 0},    // 20 sizes, 40 lanes: in place
+      {{4, 16}, 1, 2, 1000},         // depths past 32767: int32_t
+      {{4, 16}, 1, 2, 100000000},    // depths past 2^31: int64_t
   };
   return configs;
 }
@@ -350,11 +378,11 @@ TEST_P(DependencyDifferential, AnalyzersMatchTheBruteForceRule) {
   for (std::size_t c = 0; c < windowConfigs().size(); ++c) {
     const WindowConfig& config = windowConfigs()[c];
     SCOPED_TRACE("window config " + std::to_string(c));
+    const std::optional<LatencyTable> table = windowLatencies(config);
     expectSameWindows(
         shared.windows[c],
         referenceWindows(trace, config.sizes, config.numerator,
-                         config.denominator,
-                         config.scaled ? &latencies : nullptr));
+                         config.denominator, table ? &*table : nullptr));
   }
   const DistanceReference distances = referenceDistances(trace);
   EXPECT_EQ(shared.dependencies, distances.stats.count());
