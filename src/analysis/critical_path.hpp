@@ -37,10 +37,6 @@ class CriticalPathAnalyzer final
   explicit CriticalPathAnalyzer(const LatencyTable& latencies)
       : costs_(costTable(&latencies)) {}
 
-  /// Clear all chain state so the analyzer can observe a fresh trace; the
-  /// latency table (and scaled/unscaled mode) is retained.
-  void reset();
-
   /// Length of the longest RAW dependency chain seen so far.
   [[nodiscard]] std::uint64_t criticalPath() const { return maxDepth_; }
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }

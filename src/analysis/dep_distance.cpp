@@ -6,13 +6,6 @@ namespace riscmp {
 
 DependencyDistanceAnalyzer::DependencyDistanceAnalyzer() = default;
 
-void DependencyDistanceAnalyzer::reset() {
-  resetResolver();
-  histogram_.fill(0);
-  stats_.reset();
-  retired_ = 0;
-}
-
 double DependencyDistanceAnalyzer::fractionWithin(std::uint64_t window) const {
   if (stats_.count() == 0) return 0.0;
   std::uint64_t within = 0;

@@ -26,9 +26,6 @@ class DependencyDistanceAnalyzer final
  public:
   DependencyDistanceAnalyzer();
 
-  /// Forget every producer and distance sample; reusable for a new trace.
-  void reset();
-
   /// Mean producer->consumer distance over all observed dependencies.
   [[nodiscard]] double meanDistance() const { return stats_.mean(); }
   [[nodiscard]] std::uint64_t dependencies() const { return stats_.count(); }

@@ -17,13 +17,6 @@ CostTable costTable(const LatencyTable* latencies) {
   return table;
 }
 
-void DependencyResolver::reset() {
-  writer_.clear();
-  pageSlots_.clear();
-  slots_ = Reg::kDenseCount;
-  retired_ = 0;
-}
-
 std::uint32_t DependencyResolver::allocatePage(std::uint64_t page) {
   const std::uint32_t first = slots_;
   pageSlots_.assign(page, first);

@@ -16,11 +16,16 @@
 //  - critical path and scaled CP keep an array-indexed depth per slot, as
 //    one lane each of a shared DP when both run;
 //  - dependency distance records `index - producer`;
-//  - windowed CP keeps a ring of depths with one lane per live window.
-// A DependencyFrontEnd runs every consumer of a cell inside one walk, so
-// each record is resolved once however many analyses read it. A consumer
-// attached to a Machine on its own runs the same walk through a private
-// resolver. Nothing is materialised between the walk and the DPs.
+//  - windowed CP keeps a ring of depths with one lane per live window;
+//  - cache-aware CP, the throughput bound's whole-program and per-kernel
+//    chains, and the OoO core's operand readiness keep an array-indexed
+//    depth (or ready cycle) per slot, and read the record itself through
+//    the sink's record() hook.
+// A DependencyFrontEnd runs every paper-stack consumer of a cell inside
+// one walk, so each record is resolved once however many analyses read
+// it. A consumer attached to a Machine on its own runs the same walk
+// through a private resolver. Nothing is materialised between the walk
+// and the DPs.
 #pragma once
 
 #include <array>
@@ -69,7 +74,11 @@ struct ChunkRange {
 /// The calls a resolver makes on its sink, as no-ops: a sink derives from
 /// this and hides the ones its DP needs. kProducers asks for the producer
 /// of each source; without it no latest-writer table is kept and every
-/// source is reported with producer 0.
+/// source is reported with producer 0. A sink whose per-record work needs
+/// the record itself (its group, addresses or branch outcome) also
+/// declares `void record(const RetiredInst&)` (see RecordSink); the
+/// resolver calls it first for each record, and a sink without it walks
+/// no differently.
 struct ResolverSink {
   static constexpr bool kProducers = false;
   /// Every slot id from now on is below `slotCount`.
@@ -80,13 +89,20 @@ struct ResolverSink {
   void recordDone() {}
 };
 
+/// A sink that is handed each record before its sources.
+template <typename Sink>
+concept RecordSink = requires(Sink& sink, const RetiredInst& inst) {
+  sink.record(inst);
+};
+
 /// Applies the §4.1 rule to a record stream, block by block. Trace
-/// indices count records from construction (or the last reset()).
+/// indices count records from construction.
 class DependencyResolver {
  public:
   /// Resolve `block`, the next records of the trace, into `sink`. Per
-  /// record the sink sees source(slot, producer) for each source operand in
-  /// trace order (`srcs`, then each load's chunks; not deduplicated),
+  /// record a RecordSink first sees record(inst); every sink then sees
+  /// source(slot, producer) for each source operand in trace order
+  /// (`srcs`, then each load's chunks; not deduplicated),
   /// sourcesDone(costClass), destination(slot) for each destination
   /// (`dsts`, then each store's chunks), then recordDone(). slotsGrew runs
   /// first and whenever new slots appear. With Sink::kProducers a source
@@ -94,9 +110,6 @@ class DependencyResolver {
   /// the same kProducers for every block of a trace.
   template <typename Sink>
   void resolveInto(std::span<const RetiredInst> block, Sink& sink);
-
-  /// Forget every writer and chunk id; the next record is trace index 0.
-  void reset();
 
   [[nodiscard]] std::uint32_t slotCount() const { return slots_; }
 
@@ -126,6 +139,7 @@ void DependencyResolver::resolveInto(std::span<const RetiredInst> block,
   sink.slotsGrew(slots_);
   std::uint64_t index = retired_;
   for (const RetiredInst& inst : block) {
+    if constexpr (RecordSink<Sink>) sink.record(inst);
     // Every source reads its latest writer before this record's own writes
     // land, so an instruction never depends on itself.
     const auto addSource = [&](std::uint32_t slot) {
@@ -198,10 +212,6 @@ class ResolvedObserver : public TraceObserver {
     static_cast<Analyzer&>(*this).dispatchSink(
         [&]<typename Sink>(std::type_identity<Sink>) { walk<Sink>(block); });
   }
-
- protected:
-  /// Restart the private resolution (part of each analyzer's reset()).
-  void resetResolver() { resolver_.reset(); }
 
  private:
   /// The sink is built inside the one function that runs the whole walk,

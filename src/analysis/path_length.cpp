@@ -9,13 +9,6 @@ PathLengthCounter::PathLengthCounter(const Program& program)
   }
 }
 
-void PathLengthCounter::reset() {
-  for (KernelCount& kernel : kernels_) kernel.count = 0;
-  groups_.fill(0);
-  total_ = 0;
-  unattributed_ = 0;
-}
-
 void PathLengthCounter::attribute(const RetiredInst& inst) {
   ++total_;
   ++groups_[static_cast<std::size_t>(inst.group)];

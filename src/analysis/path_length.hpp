@@ -22,11 +22,6 @@ class PathLengthCounter final : public TraceObserver {
   void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
-  /// Zero every count (total, per-kernel, per-group, unattributed) while
-  /// keeping the kernel regions, so the counter can observe a fresh run of
-  /// the same program.
-  void reset();
-
   [[nodiscard]] std::uint64_t total() const { return total_; }
   /// Instructions whose pc fell outside every kernel region.
   [[nodiscard]] std::uint64_t unattributed() const { return unattributed_; }

@@ -31,31 +31,25 @@ ThroughputModel requirePorts(ThroughputModel model) {
 
 ThroughputBoundAnalyzer::ThroughputBoundAnalyzer(ThroughputModel model,
                                                  const Program& program)
-    : model_(requirePorts(std::move(model))), kernelMap_(program) {
+    : model_(requirePorts(std::move(model))),
+      costs_(costTable(&model_.latencies)),
+      kernelMap_(program) {
   contexts_.resize(kernelMap_.names().size() + 1);  // last slot = whole program
   for (Context& context : contexts_) {
     context.portCycles.resize(model_.ports.size(), 0);
   }
 }
 
-void ThroughputBoundAnalyzer::onRetire(const RetiredInst& inst) {
-  retireOne(inst);
-}
-
-void ThroughputBoundAnalyzer::onRetireBlock(
-    std::span<const RetiredInst> block) {
-  for (const RetiredInst& inst : block) retireOne(inst);
-}
-
-void ThroughputBoundAnalyzer::account(Context& context,
-                                      const RetiredInst& inst) {
+void ThroughputBoundAnalyzer::account(Context& context, InstGroup group,
+                                      std::uint8_t costClass,
+                                      std::uint64_t& depth) {
   ++context.instructions;
 
   // Least-loaded eligible port; ties break to the lowest port index so the
   // assignment (and therefore the report) is deterministic.
   std::size_t best = model_.ports.size();
   for (std::size_t p = 0; p < model_.ports.size(); ++p) {
-    if (!model_.ports[p].accepts(inst.group)) continue;
+    if (!model_.ports[p].accepts(group)) continue;
     if (best == model_.ports.size() ||
         context.portCycles[p] < context.portCycles[best]) {
       best = p;
@@ -64,49 +58,15 @@ void ThroughputBoundAnalyzer::account(Context& context,
   if (best == model_.ports.size()) {
     throw ValidationFault(
         "throughput model '" + model_.name + "': no port accepts group " +
-        std::string(instGroupName(inst.group)) +
+        std::string(instGroupName(group)) +
         " — add it to a port's groups: list");
   }
   ++context.portCycles[best];
 
-  // Scaled-CP chain over this context's own sub-trace, with the same rule
-  // as CriticalPathAnalyzer: loads and stores cost 1 (§5.1 store-forwarding
-  // assumption), everything else its group latency; memory dependencies via
-  // the 8-byte chunks of analysis/dependencies.hpp.
-  std::uint64_t depth = 0;
-  for (const Reg& reg : inst.srcs) {
-    depth = std::max(depth, context.regDepth[reg.dense()]);
-  }
-  for (const MemAccess& access : inst.loads) {
-    const ChunkRange range = chunkRange(access);
-    for (std::uint64_t chunk = range.first; chunk <= range.last; ++chunk) {
-      if (const std::uint64_t* found = context.memDepth.find(chunk)) {
-        depth = std::max(depth, *found);
-      }
-    }
-  }
-  const bool isMem = !inst.loads.empty() || !inst.stores.empty();
-  depth += isMem ? 1
-                 : model_.latencies[static_cast<std::size_t>(inst.group)];
-  for (const Reg& reg : inst.dsts) {
-    context.regDepth[reg.dense()] = depth;
-  }
-  for (const MemAccess& access : inst.stores) {
-    const ChunkRange range = chunkRange(access);
-    for (std::uint64_t chunk = range.first; chunk <= range.last; ++chunk) {
-      context.memDepth.assign(chunk, depth);
-    }
-  }
+  // Scaled-CP cost, as CriticalPathAnalyzer's: loads and stores cost 1
+  // (§5.1 store-forwarding assumption), everything else its group latency.
+  depth += costs_[costClass];
   context.maxDepth = std::max(context.maxDepth, depth);
-}
-
-void ThroughputBoundAnalyzer::retireOne(const RetiredInst& inst) {
-  ++instructions_;
-  account(contexts_.back(), inst);
-  const std::int32_t kernel = kernelMap_.slotOf(inst);
-  if (kernel >= 0) {
-    account(contexts_[static_cast<std::size_t>(kernel)], inst);
-  }
 }
 
 ThroughputBoundAnalyzer::KernelBound ThroughputBoundAnalyzer::bound(
@@ -139,17 +99,6 @@ ThroughputBoundAnalyzer::kernels() const {
 
 ThroughputBoundAnalyzer::KernelBound ThroughputBoundAnalyzer::program() const {
   return bound(contexts_.back(), "<program>");
-}
-
-void ThroughputBoundAnalyzer::reset() {
-  instructions_ = 0;
-  for (Context& context : contexts_) {
-    context.instructions = 0;
-    std::fill(context.portCycles.begin(), context.portCycles.end(), 0);
-    context.maxDepth = 0;
-    context.regDepth.fill(0);
-    context.memDepth.clear();
-  }
 }
 
 }  // namespace riscmp

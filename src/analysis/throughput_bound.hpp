@@ -18,7 +18,9 @@
 //   - the CP bound mirrors CriticalPathAnalyzer's scaled semantics exactly
 //     (loads/stores cost 1 — store forwarding, §5.1 — everything else its
 //     group latency), tracked per kernel so a kernel's chain is only what
-//     its own instructions contribute.
+//     its own instructions contribute. Both chains are one resolver sink
+//     over the §4.1 rule (analysis/dependencies.hpp): each context keeps a
+//     depth per slot, written only by its own records.
 // The reported cycles are max(port bound, issue bound, CP bound), with the
 // binding resource named.
 //
@@ -29,15 +31,15 @@
 // (uarch/core_model.hpp) performs the conversion.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "analysis/critical_path.hpp"
+#include "analysis/dependencies.hpp"
 #include "core/program.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
 
 namespace riscmp {
 
@@ -75,7 +77,8 @@ struct ThroughputModel {
   [[nodiscard]] double reciprocalThroughput(InstGroup group) const;
 };
 
-class ThroughputBoundAnalyzer final : public TraceObserver {
+class ThroughputBoundAnalyzer final
+    : public ResolvedObserver<ThroughputBoundAnalyzer> {
  public:
   /// Kernel regions come from the program's symbol table (regions sharing
   /// a name aggregate, as in PathLengthCounter). Throws ConfigError when
@@ -84,9 +87,6 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
   /// ValidationFault (the silent-fallthrough bug this PR fixes in the OoO
   /// model).
   ThroughputBoundAnalyzer(ThroughputModel model, const Program& program);
-
-  void onRetire(const RetiredInst& inst) override;
-  void onRetireBlock(std::span<const RetiredInst> block) override;
 
   /// One kernel's (or the whole program's) resource bounds. Plain data so
   /// the cell codec can round-trip it exactly.
@@ -133,28 +133,93 @@ class ThroughputBoundAnalyzer final : public TraceObserver {
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
   [[nodiscard]] const ThroughputModel& model() const { return model_; }
 
-  /// Clear pressure and chain state; the model and kernel regions are
-  /// retained so the analyzer can observe a fresh run of the same program.
-  void reset();
+ private:
+  struct Context;
+
+ public:
+  /// The DP's sink type (see ResolvedObserver).
+  template <typename Visit>
+  void dispatchSink(const Visit& visit) {
+    visit(std::type_identity<Sink>{});
+  }
+
+  /// Port assignment and both chains of one block as a resolver sink: the
+  /// whole program's, and that of the kernel the record belongs to.
+  class Sink : public ResolverSink {
+   public:
+    explicit Sink(ThroughputBoundAnalyzer& analyzer)
+        : analyzer_(analyzer), program_(analyzer.contexts_.back()) {}
+    void finish() {}
+
+    void slotsGrew(std::uint32_t slots) {
+      for (Context& context : analyzer_.contexts_) {
+        if (context.depth.size() < slots) context.depth.resize(slots, 0);
+      }
+      programDepth_ = program_.depth.data();
+      if (kernel_ != nullptr) kernelDepth_ = kernel_->depth.data();
+    }
+    void record(const RetiredInst& inst) {
+      group_ = inst.group;
+      const std::int32_t kernel = analyzer_.kernelMap_.slotOf(inst);
+      kernel_ = kernel < 0
+                    ? nullptr
+                    : &analyzer_.contexts_[static_cast<std::size_t>(kernel)];
+      kernelDepth_ = kernel_ != nullptr ? kernel_->depth.data() : nullptr;
+    }
+    void source(std::uint32_t slot, std::uint64_t) {
+      programCurrent_ = std::max(programCurrent_, programDepth_[slot]);
+      if (kernel_ != nullptr) {
+        kernelCurrent_ = std::max(kernelCurrent_, kernelDepth_[slot]);
+      }
+    }
+    void sourcesDone(std::uint8_t costClass) {
+      ++analyzer_.instructions_;
+      analyzer_.account(program_, group_, costClass, programCurrent_);
+      if (kernel_ != nullptr) {
+        analyzer_.account(*kernel_, group_, costClass, kernelCurrent_);
+      }
+    }
+    void destination(std::uint32_t slot) {
+      programDepth_[slot] = programCurrent_;
+      if (kernel_ != nullptr) kernelDepth_[slot] = kernelCurrent_;
+    }
+    void recordDone() {
+      programCurrent_ = 0;
+      kernelCurrent_ = 0;
+    }
+
+   private:
+    ThroughputBoundAnalyzer& analyzer_;
+    Context& program_;
+    std::uint64_t* programDepth_ = nullptr;
+    Context* kernel_ = nullptr;  ///< the record's kernel; null if none
+    std::uint64_t* kernelDepth_ = nullptr;
+    InstGroup group_{};
+    std::uint64_t programCurrent_ = 0;  ///< the record's chains
+    std::uint64_t kernelCurrent_ = 0;
+  };
 
  private:
   /// Per-kernel accumulation state: port pressure plus a private scaled-CP
-  /// chain (register and memory depths are tracked per kernel so one
-  /// kernel's chain never leaks into another's bound).
+  /// chain (the depth per slot is kept per kernel, written only by the
+  /// kernel's own records, so one kernel's chain never leaks into another's
+  /// bound).
   struct Context {
     std::uint64_t instructions = 0;
     std::vector<std::uint64_t> portCycles;
     std::uint64_t maxDepth = 0;
-    std::array<std::uint64_t, Reg::kDenseCount> regDepth{};
-    FlatHashMap64<std::uint64_t> memDepth;
+    std::vector<std::uint64_t> depth;  ///< chain depth per slot
   };
 
-  void retireOne(const RetiredInst& inst);
-  void account(Context& context, const RetiredInst& inst);
+  /// One record of `group` in `context`: its port assignment, and its cost
+  /// added to `depth` (the deepest of its sources in the context's chain).
+  void account(Context& context, InstGroup group, std::uint8_t costClass,
+               std::uint64_t& depth);
   [[nodiscard]] KernelBound bound(const Context& context,
                                   std::string name) const;
 
   ThroughputModel model_;
+  CostTable costs_;
   std::uint64_t instructions_ = 0;
 
   KernelMap kernelMap_;

@@ -66,12 +66,6 @@ WindowedCPAnalyzer::WindowedCPAnalyzer(std::vector<std::uint32_t> windowSizes,
   startLanes();
 }
 
-void WindowedCPAnalyzer::reset() {
-  resetResolver();
-  for (PerSize& perSize : sizes_) perSize.cpStats.reset();
-  startLanes();
-}
-
 void WindowedCPAnalyzer::startLanes() {
   retired_ = 0;
   rowCount_ = std::bit_ceil(std::min(maxSize_, 64u));

@@ -54,10 +54,6 @@ class WindowedCPAnalyzer final
                               unsigned slideDenominator = 2,
                               const LatencyTable* latencies = nullptr);
 
-  /// Drop all buffered instructions and per-size statistics; the window
-  /// sizes, slide fraction, and latency table are retained.
-  void reset();
-
   struct WindowResult {
     std::uint32_t windowSize = 0;
     std::uint64_t windows = 0;   ///< number of full windows evaluated

@@ -13,6 +13,7 @@
 #include <deque>
 #include <list>
 
+#include "support/bits.hpp"
 #include "support/fault.hpp"
 
 namespace riscmp::engine {
@@ -20,14 +21,6 @@ namespace riscmp::engine {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t mix64(std::uint64_t x) {
-  // splitmix64 finalizer: cheap, well-distributed, dependency-free.
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 struct Pending {
   std::size_t task = 0;

@@ -112,8 +112,7 @@ class TraceBlock {
 /// driving that Machine's run(); implementations therefore need no locking.
 /// Never attach one observer instance to Machines running on different
 /// threads — the experiment engine (src/engine) constructs a fresh observer
-/// set per cell instead. Observers that implement reset() may be reused
-/// sequentially across runs on the same thread.
+/// set per cell instead.
 ///
 /// Block delivery: the core calls onRetireBlock — on the same driving
 /// thread — with up to kTraceBlockCapacity records at a time, flushing on

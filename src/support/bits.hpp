@@ -1,4 +1,5 @@
-// Bit-manipulation helpers shared by the instruction encoders and decoders.
+// Bit-manipulation helpers shared by the instruction encoders and decoders,
+// and the one 64-bit mixer the digests and retry backoff use.
 //
 // All helpers are constexpr and operate on unsigned 32/64-bit words. Field
 // positions follow the usual ISA-manual convention: bits(x, hi, lo) extracts
@@ -9,6 +10,15 @@
 #include <type_traits>
 
 namespace riscmp {
+
+/// splitmix64 finaliser: spreads sequential values (line and page numbers
+/// before a commutative digest sum, retry seeds) over all 64 bits.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Extract the inclusive bit range [hi:lo] of `x`, right-aligned.
 template <typename T>

@@ -1,8 +1,10 @@
-// Streaming statistics used by the windowed critical-path analysis and the
-// benchmark harnesses. Welford's algorithm keeps the variance numerically
-// stable over millions of samples.
+// Streaming statistics used by the windowed critical-path and
+// dependency-distance analyses. The mean is updated incrementally (the
+// mean step of Welford's algorithm), so it stays accurate over millions of
+// samples.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,25 +12,18 @@
 
 namespace riscmp {
 
+/// Count, mean, minimum and maximum of a sample stream.
 class RunningStats {
  public:
   void add(double x) {
     ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(n_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-    sum_ += x;
   }
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
   [[nodiscard]] double min() const {
     return n_ ? min_ : std::numeric_limits<double>::quiet_NaN();
   }
@@ -36,14 +31,9 @@ class RunningStats {
     return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
   }
 
-  /// Forget every sample; the instance is reusable as if freshly built.
-  void reset() { *this = RunningStats(); }
-
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

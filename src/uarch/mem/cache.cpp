@@ -59,9 +59,4 @@ bool Cache::contains(std::uint64_t line) const {
   return false;
 }
 
-void Cache::reset() {
-  for (Way& way : ways_storage_) way = Way{};
-  tick_ = 0;
-}
-
 }  // namespace riscmp::uarch::mem

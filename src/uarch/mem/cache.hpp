@@ -53,9 +53,6 @@ class Cache {
   [[nodiscard]] std::uint32_t sets() const { return sets_; }
   [[nodiscard]] std::uint32_t ways() const { return ways_; }
 
-  /// Invalidate every line (stats live in the hierarchy, not here).
-  void reset();
-
  private:
   struct Way {
     std::uint64_t line = 0;

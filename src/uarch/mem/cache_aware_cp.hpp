@@ -11,31 +11,34 @@
 // (forwarded from the store buffer) but still update cache state, since a
 // written line is a later hit.
 //
+// The chains come from the one §4.1 dependency rule
+// (analysis/dependencies.hpp): the DP is a resolver sink over the same
+// slots as CriticalPathAnalyzer, so the two modes differ only in load
+// cost, never in chain shape.
+//
 // The analyzer owns its hierarchy instead of sharing the MPKI observer's:
 // observers are independent by contract (isa/trace.hpp), and two
 // hierarchies fed the same trace behave identically, so no cross-observer
 // ordering is needed.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
-#include <span>
+#include <type_traits>
+#include <vector>
 
-#include "analysis/critical_path.hpp"  // LatencyTable
+#include "analysis/dependencies.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
 #include "uarch/mem/hierarchy.hpp"
 
 namespace riscmp::uarch::mem {
 
-class CacheAwareCpAnalyzer final : public TraceObserver {
+class CacheAwareCpAnalyzer final
+    : public ResolvedObserver<CacheAwareCpAnalyzer> {
  public:
   /// Throws ConfigError when the cache geometry is invalid.
   CacheAwareCpAnalyzer(const LatencyTable& latencies,
                        const CacheConfig& config);
-
-  void onRetire(const RetiredInst& inst) override;
-  void onRetireBlock(std::span<const RetiredInst> block) override;
 
   [[nodiscard]] std::uint64_t criticalPath() const { return maxDepth_; }
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
@@ -51,17 +54,54 @@ class CacheAwareCpAnalyzer final : public TraceObserver {
     return hierarchy_.stats();
   }
 
-  /// Clear chain state and cache contents for a fresh trace; the latency
-  /// table and geometry are retained.
-  void reset();
+  /// The DP's sink type (see ResolvedObserver).
+  template <typename Visit>
+  void dispatchSink(const Visit& visit) {
+    visit(std::type_identity<Sink>{});
+  }
+
+  /// The chain DP of one block as a resolver sink: a depth per slot, as in
+  /// CriticalPathSink, with each record's cost from cost().
+  class Sink : public ResolverSink {
+   public:
+    explicit Sink(CacheAwareCpAnalyzer& analyzer) : analyzer_(analyzer) {}
+    void finish() {}
+
+    void slotsGrew(std::uint32_t slots) {
+      if (analyzer_.depth_.size() < slots) analyzer_.depth_.resize(slots, 0);
+      depth_ = analyzer_.depth_.data();
+    }
+    void record(const RetiredInst& inst) { inst_ = &inst; }
+    void source(std::uint32_t slot, std::uint64_t) {
+      current_ = std::max(current_, depth_[slot]);
+    }
+    void sourcesDone(std::uint8_t costClass) {
+      current_ += analyzer_.cost(*inst_, costClass);
+    }
+    void destination(std::uint32_t slot) { depth_[slot] = current_; }
+    void recordDone() {
+      analyzer_.maxDepth_ = std::max(analyzer_.maxDepth_, current_);
+      ++analyzer_.instructions_;
+      current_ = 0;
+    }
+
+   private:
+    CacheAwareCpAnalyzer& analyzer_;
+    std::uint64_t* depth_ = nullptr;
+    const RetiredInst* inst_ = nullptr;
+    std::uint64_t current_ = 0;  ///< the current record's chain
+  };
 
  private:
-  void retireOne(const RetiredInst& inst);
+  /// Run the record's loads, then its stores, through the hierarchy and
+  /// return its chain cost: the slowest load's load-to-use latency when it
+  /// loads, 1 when it only stores (store forwarding), its group latency
+  /// otherwise.
+  std::uint64_t cost(const RetiredInst& inst, std::uint8_t costClass);
 
   MemoryHierarchy hierarchy_;
-  std::array<std::uint64_t, Reg::kDenseCount> regDepth_{};
-  FlatHashMap64<std::uint64_t> memDepth_;
-  LatencyTable latencies_;
+  std::vector<std::uint64_t> depth_;  ///< chain depth per slot
+  CostTable costs_;
   std::uint64_t maxDepth_ = 0;
   std::uint64_t instructions_ = 0;
 };

@@ -2,19 +2,9 @@
 
 #include <algorithm>
 
+#include "support/bits.hpp"
+
 namespace riscmp::uarch::mem {
-namespace {
-
-/// splitmix64 finaliser: spreads sequential line numbers before the
-/// commutative digest sum so arithmetic progressions don't cancel.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 CacheModelAnalyzer::CacheModelAnalyzer(const CacheConfig& config,
                                        const Program& program)
@@ -80,19 +70,6 @@ void CacheModelAnalyzer::retireOne(const RetiredInst& inst) {
     stats->l1Misses += outcome.l1LineMisses;
     stats->l2Misses += outcome.l2LineMisses;
   }
-}
-
-void CacheModelAnalyzer::reset() {
-  hierarchy_.reset();
-  instructions_ = 0;
-  footprintLines_ = 0;
-  lineSetDigest_ = 0;
-  for (KernelStats& stats : kernels_) {
-    const std::string name = stats.name;
-    stats = KernelStats{};
-    stats.name = name;
-  }
-  for (FlatHashMap64<std::uint8_t>& set : lineSets_) set.clear();
 }
 
 }  // namespace riscmp::uarch::mem

@@ -85,10 +85,6 @@ class CacheModelAnalyzer final : public TraceObserver {
                      static_cast<double>(instructions_);
   }
 
-  /// Clear caches, counters, and line sets; kernel regions are retained so
-  /// the analyzer can observe a fresh run of the same program.
-  void reset();
-
  private:
   void retireOne(const RetiredInst& inst);
   void recordLines(std::uint64_t addr, std::uint32_t size,

@@ -204,11 +204,4 @@ void MemoryHierarchy::prefetchLine(std::uint64_t line) {
   fillL1(line, /*dirty=*/false, /*prefetched=*/true);
 }
 
-void MemoryHierarchy::reset() {
-  l1_.reset();
-  l2_.reset();
-  if (prefetcher_) prefetcher_->reset();
-  stats_ = HierarchyStats{};
-}
-
 }  // namespace riscmp::uarch::mem

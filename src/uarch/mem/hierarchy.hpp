@@ -144,9 +144,6 @@ class MemoryHierarchy {
     return addr >> lineShift_;
   }
 
-  /// Invalidate both levels and zero all counters.
-  void reset();
-
  private:
   AccessOutcome accessLines(std::uint64_t addr, std::uint32_t size,
                             bool write);

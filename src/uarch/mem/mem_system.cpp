@@ -2,17 +2,10 @@
 
 #include <algorithm>
 
+#include "support/bits.hpp"
+
 namespace riscmp::uarch::mem {
 namespace {
-
-/// splitmix64 finaliser, as in cache_model.cpp: spreads sequential page
-/// numbers before the commutative digest sum.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 constexpr std::uint64_t ceilDiv(std::uint64_t n, std::uint64_t d) {
   return d == 0 ? 0 : (n + d - 1) / d;
@@ -82,15 +75,6 @@ void MemSystemAnalyzer::SharedHierarchy::fillL1(std::uint32_t core,
         l2.fill(victim.line, /*dirty=*/true, /*prefetched=*/false);
     if (spilled.valid && spilled.dirty) ++point.sharedWritebacksToMem;
   }
-}
-
-void MemSystemAnalyzer::SharedHierarchy::reset() {
-  for (Cache& cache : l1) cache.reset();
-  l2.reset();
-  const std::uint32_t cores = point.cores;
-  point = ScalingPoint{};
-  point.cores = cores;
-  point.perCore.resize(cores);
 }
 
 MemSystemAnalyzer::MemSystemAnalyzer(const CacheConfig& config,
@@ -231,21 +215,6 @@ std::vector<ScalingPoint> MemSystemAnalyzer::scaling() const {
     points.push_back(std::move(point));
   }
   return points;
-}
-
-void MemSystemAnalyzer::reset() {
-  hierarchy_.reset();
-  tlb_.reset();
-  for (SharedHierarchy& sharedHierarchy : shared_) sharedHierarchy.reset();
-  instructions_ = 0;
-  footprintPages_ = 0;
-  pageSetDigest_ = 0;
-  for (MemKernelStats& stats : kernels_) {
-    const std::string name = stats.name;
-    stats = MemKernelStats{};
-    stats.name = name;
-  }
-  for (FlatHashMap64<std::uint8_t>& set : pageSets_) set.clear();
 }
 
 }  // namespace riscmp::uarch::mem

@@ -129,9 +129,6 @@ class MemSystemAnalyzer final : public TraceObserver {
   }
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
 
-  /// Clear TLBs, caches, counters, and page sets; kernel regions and the
-  /// configured core counts are retained.
-  void reset();
 
  private:
   /// Private L1s per core over one shared L2, demand-only (prefetch
@@ -145,7 +142,6 @@ class MemSystemAnalyzer final : public TraceObserver {
     void accessLine(const CacheConfig& config, std::uint32_t core,
                     std::uint64_t line, bool write);
     void fillL1(std::uint32_t core, std::uint64_t line, bool dirty);
-    void reset();
   };
 
   void retireOne(const RetiredInst& inst);

@@ -62,9 +62,4 @@ PrefetchTargets Prefetcher::observe(std::uint64_t line, bool missed) {
   return targets;
 }
 
-void Prefetcher::reset() {
-  for (Stream& stream : streams_) stream = Stream{};
-  nextVictim_ = 0;
-}
-
 }  // namespace riscmp::uarch::mem

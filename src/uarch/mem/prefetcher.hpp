@@ -37,7 +37,6 @@ class Prefetcher {
 
   [[nodiscard]] PrefetchKind kind() const { return kind_; }
 
-  void reset();
 
  private:
   /// One tracked 4-KiB page: last line touched, last observed line delta,

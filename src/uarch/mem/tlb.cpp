@@ -40,10 +40,4 @@ Tlb::Outcome Tlb::access(std::uint64_t page) {
   return {TlbLevel::Walk, config_.walkLatency};
 }
 
-void Tlb::reset() {
-  l1_.reset();
-  l2_.reset();
-  stats_ = TlbStats{};
-}
-
 }  // namespace riscmp::uarch::mem

@@ -59,7 +59,6 @@ class Tlb {
     return addr >> pageShift_;
   }
 
-  void reset();
 
  private:
   TlbConfig config_;

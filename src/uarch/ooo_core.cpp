@@ -59,32 +59,8 @@ void OoOCoreModel::trainPredictor(const RetiredInst& inst) {
   globalHistory_ = ((globalHistory_ << 1) | (inst.branchTaken ? 1 : 0)) & mask;
 }
 
-void OoOCoreModel::reset() {
-  if (hierarchy_) hierarchy_->reset();
-  instructions_ = 0;
-  mispredicts_ = 0;
-  dispatchCycle_ = 1;
-  dispatchedThisCycle_ = 0;
-  frontEndStallUntil_ = 0;
-  std::fill(robCommitCycles_.begin(), robCommitCycles_.end(), 0);
-  robHead_ = 0;
-  robCount_ = 0;
-  regReady_.fill(0);
-  memReady_.clear();
-  std::fill(portFree_.begin(), portFree_.end(), 0);
-  lastCommitCycle_ = 0;
-  committedThisCycle_ = 0;
-  std::fill(gshareTable_.begin(), gshareTable_.end(), 2);
-  globalHistory_ = 0;
-}
-
-void OoOCoreModel::onRetire(const RetiredInst& inst) { retireOne(inst); }
-
-void OoOCoreModel::onRetireBlock(std::span<const RetiredInst> block) {
-  for (const RetiredInst& inst : block) retireOne(inst);
-}
-
-void OoOCoreModel::retireOne(const RetiredInst& inst) {
+std::uint64_t OoOCoreModel::schedule(const RetiredInst& inst,
+                                     std::uint64_t operands) {
   ++instructions_;
 
   // ---- dispatch: in order, `dispatchWidth` per cycle, ROB space needed.
@@ -106,20 +82,9 @@ void OoOCoreModel::retireOne(const RetiredInst& inst) {
   }
   ++dispatchedThisCycle_;
 
-  // ---- operand readiness.
-  std::uint64_t ready = dispatch;
-  for (const Reg& reg : inst.srcs) {
-    ready = std::max(ready, regReady_[reg.dense()]);
-  }
-  for (const MemAccess& access : inst.loads) {
-    const std::uint64_t first = access.addr >> 3;
-    const std::uint64_t last = (access.addr + access.size - 1) >> 3;
-    for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
-      if (const std::uint64_t* found = memReady_.find(chunk)) {
-        ready = std::max(ready, *found);
-      }
-    }
-  }
+  // ---- operand readiness: the later of dispatch and the sources' ready
+  // cycles (registers and memory chunks, from the sink).
+  const std::uint64_t ready = std::max(dispatch, operands);
 
   // ---- issue: earliest eligible port (fully pipelined, one per cycle).
   std::uint64_t issue = ready;
@@ -169,17 +134,6 @@ void OoOCoreModel::retireOne(const RetiredInst& inst) {
   }
   const std::uint64_t complete = issue + latency;
 
-  for (const Reg& reg : inst.dsts) {
-    regReady_[reg.dense()] = complete;
-  }
-  for (const MemAccess& access : inst.stores) {
-    const std::uint64_t first = access.addr >> 3;
-    const std::uint64_t last = (access.addr + access.size - 1) >> 3;
-    for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
-      memReady_.assign(chunk, complete);
-    }
-  }
-
   // ---- branch resolution under the configured predictor.
   if (inst.isBranch && model_.predictor != BranchPredictor::Perfect) {
     const bool predicted = predictTaken(inst);
@@ -207,6 +161,7 @@ void OoOCoreModel::retireOne(const RetiredInst& inst) {
       (robHead_ + robCount_) % robCommitCycles_.size();
   robCommitCycles_[tail] = commit;
   ++robCount_;
+  return complete;
 }
 
 }  // namespace riscmp::uarch

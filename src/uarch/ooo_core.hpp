@@ -15,22 +15,25 @@
 //
 // This is the classic O(1)-per-instruction trace-driven OoO model: it
 // captures dependency, capacity, and bandwidth limits without simulating
-// speculative wrong paths.
+// speculative wrong paths. Operand readiness follows the one §4.1
+// dependency rule (analysis/dependencies.hpp): the model is a resolver
+// sink that keeps each slot's ready cycle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
+#include <type_traits>
 #include <vector>
 
+#include "analysis/dependencies.hpp"
 #include "isa/trace.hpp"
-#include "support/flat_hash.hpp"
 #include "uarch/core_model.hpp"
 #include "uarch/mem/hierarchy.hpp"
 
 namespace riscmp::uarch {
 
-class OoOCoreModel final : public TraceObserver {
+class OoOCoreModel final : public ResolvedObserver<OoOCoreModel> {
  public:
   /// `memoryAware` attaches the cache model from the core model's
   /// `caches:` section (ISSUE 5): each load's execution latency becomes
@@ -39,16 +42,6 @@ class OoOCoreModel final : public TraceObserver {
   /// ConfigError when the model has no `caches:` section. The default
   /// stays the paper's flat memory system.
   explicit OoOCoreModel(CoreModel model, bool memoryAware = false);
-
-  void onRetire(const RetiredInst& inst) override;
-  void onRetireBlock(std::span<const RetiredInst> block) override;
-
-  /// Restore construction state — pipeline occupancy, operand readiness,
-  /// port reservations, predictor tables, and the cache hierarchy (when
-  /// memory-aware) — so the model can observe a fresh run, per the
-  /// TraceObserver reuse contract (isa/trace.hpp). Previously missing:
-  /// reused models silently carried ROB/port/predictor state across runs.
-  void reset();
 
   [[nodiscard]] std::uint64_t cycles() const { return lastCommitCycle_; }
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
@@ -72,6 +65,42 @@ class OoOCoreModel final : public TraceObserver {
     return hierarchy_ ? &hierarchy_->stats() : nullptr;
   }
 
+  /// The model's sink type (see ResolvedObserver).
+  template <typename Visit>
+  void dispatchSink(const Visit& visit) {
+    visit(std::type_identity<Sink>{});
+  }
+
+  /// The model over one block as a resolver sink: a record's operands are
+  /// ready at the latest ready cycle of its sources, schedule() times the
+  /// record, and its destinations are ready when it completes.
+  class Sink : public ResolverSink {
+   public:
+    explicit Sink(OoOCoreModel& model) : model_(model) {}
+    void finish() {}
+
+    void slotsGrew(std::uint32_t slots) {
+      if (model_.ready_.size() < slots) model_.ready_.resize(slots, 0);
+      ready_ = model_.ready_.data();
+    }
+    void record(const RetiredInst& inst) { inst_ = &inst; }
+    void source(std::uint32_t slot, std::uint64_t) {
+      operands_ = std::max(operands_, ready_[slot]);
+    }
+    void sourcesDone(std::uint8_t) {
+      complete_ = model_.schedule(*inst_, operands_);
+    }
+    void destination(std::uint32_t slot) { ready_[slot] = complete_; }
+    void recordDone() { operands_ = 0; }
+
+   private:
+    OoOCoreModel& model_;
+    std::uint64_t* ready_ = nullptr;
+    const RetiredInst* inst_ = nullptr;
+    std::uint64_t operands_ = 0;  ///< when the record's sources are ready
+    std::uint64_t complete_ = 0;  ///< when the record's result is ready
+  };
+
  private:
   CoreModel model_;
   std::optional<mem::MemoryHierarchy> hierarchy_;
@@ -89,9 +118,8 @@ class OoOCoreModel final : public TraceObserver {
   std::size_t robHead_ = 0;
   std::size_t robCount_ = 0;
 
-  // Operand readiness.
-  std::array<std::uint64_t, Reg::kDenseCount> regReady_{};
-  FlatHashMap64<std::uint64_t> memReady_;
+  // Operand readiness: the cycle each slot's latest value is ready.
+  std::vector<std::uint64_t> ready_;
 
   // Execution ports: next cycle each can accept an instruction.
   std::vector<std::uint64_t> portFree_;
@@ -104,7 +132,10 @@ class OoOCoreModel final : public TraceObserver {
   std::vector<std::uint8_t> gshareTable_;
   std::uint64_t globalHistory_ = 0;
 
-  void retireOne(const RetiredInst& inst);
+  /// Dispatch, issue, execute, resolve (if a branch) and commit `inst`,
+  /// whose operands are ready at cycle `operands`; returns the cycle it
+  /// completes.
+  std::uint64_t schedule(const RetiredInst& inst, std::uint64_t operands);
   [[nodiscard]] bool predictTaken(const RetiredInst& inst);
   void trainPredictor(const RetiredInst& inst);
 };

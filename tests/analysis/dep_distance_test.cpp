@@ -77,26 +77,5 @@ TEST(DepDistance, HistogramBucketsByPowerOfTwo) {
   EXPECT_EQ(histogram[1], 2u);
 }
 
-TEST(DepDistance, ResetReplaysIdentically) {
-  const auto feed = [](DependencyDistanceAnalyzer& analyzer) {
-    analyzer.onRetire(alu({}, 1));
-    analyzer.onRetire(alu({1}, 2));
-    for (int i = 0; i < 5; ++i) analyzer.onRetire(alu({}, 3));
-    analyzer.onRetire(alu({2}, 4));
-  };
-  DependencyDistanceAnalyzer analyzer;
-  feed(analyzer);
-  const std::uint64_t firstDeps = analyzer.dependencies();
-  const double firstMean = analyzer.meanDistance();
-  analyzer.reset();
-  EXPECT_EQ(analyzer.dependencies(), 0u);
-  EXPECT_EQ(analyzer.instructions(), 0u);
-  // Stale writer state must not leak: r2's old producer is forgotten, so
-  // the replay sees exactly the same dependency set as a fresh analyzer.
-  feed(analyzer);
-  EXPECT_EQ(analyzer.dependencies(), firstDeps);
-  EXPECT_DOUBLE_EQ(analyzer.meanDistance(), firstMean);
-}
-
 }  // namespace
 }  // namespace riscmp

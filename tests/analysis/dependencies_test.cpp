@@ -5,10 +5,10 @@
 // accesses that straddle 8-byte chunks and 4 KiB pages, and loads and
 // stores in one instruction. Every analysis built on the resolver is
 // checked against a brute-force reference written here straight from the
-// rule (each window recomputed from the raw records), and every way of
-// driving the analyzers — shared DependencyFrontEnds, a front end of CPs
-// only, standalone blocks, and onRetire one record at a time — must agree
-// bit for bit.
+// rule (each window, each kernel's sub-trace recomputed from the raw
+// records), and every way of driving the analyzers — shared
+// DependencyFrontEnds, a front end of CPs only, standalone blocks, and
+// onRetire one record at a time — must agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +22,12 @@
 #include "analysis/critical_path.hpp"
 #include "analysis/dep_distance.hpp"
 #include "analysis/dependencies.hpp"
+#include "analysis/throughput_bound.hpp"
 #include "analysis/windowed_cp.hpp"
+#include "core/program.hpp"
 #include "support/stats.hpp"
+#include "uarch/mem/cache_aware_cp.hpp"
+#include "uarch/mem/hierarchy.hpp"
 
 namespace riscmp {
 namespace {
@@ -127,10 +131,12 @@ std::uint64_t costOf(const RetiredInst& inst, const LatencyTable* latencies) {
   return (*latencies)[static_cast<std::size_t>(inst.group)];
 }
 
-/// Critical path of trace[from, to), dependencies cut at `from`.
-std::uint64_t referenceCp(const std::vector<RetiredInst>& trace,
-                          std::size_t from, std::size_t to,
-                          const LatencyTable* latencies) {
+/// Critical path of trace[from, to), dependencies cut at `from`, where
+/// record i costs `cost(i)`.
+template <typename Cost>
+std::uint64_t referenceCpWith(const std::vector<RetiredInst>& trace,
+                              std::size_t from, std::size_t to,
+                              const Cost& cost) {
   std::vector<std::uint64_t> depth(to - from, 0);
   std::uint64_t cp = 0;
   for (std::size_t i = from; i < to; ++i) {
@@ -140,10 +146,19 @@ std::uint64_t referenceCp(const std::vector<RetiredInst>& trace,
         d = std::max(d, depth[*producer - from]);
       }
     }
-    depth[i - from] = d + costOf(trace[i], latencies);
+    depth[i - from] = d + cost(i);
     cp = std::max(cp, depth[i - from]);
   }
   return cp;
+}
+
+/// The same, at unit cost (no table) or each record's table latency.
+std::uint64_t referenceCp(const std::vector<RetiredInst>& trace,
+                          std::size_t from, std::size_t to,
+                          const LatencyTable* latencies) {
+  return referenceCpWith(trace, from, to, [&](std::size_t i) {
+    return costOf(trace[i], latencies);
+  });
 }
 
 std::vector<WindowedCPAnalyzer::WindowResult> referenceWindows(
@@ -410,6 +425,131 @@ TEST_P(DependencyDifferential, SharedStandaloneAndPerRecordAgree) {
   }
 }
 
+// ---- Chains with costs of their own: throughput bound, cache-aware CP ----
+
+/// Kernel regions for the throughput chains: "a" has two regions (one
+/// kernel, two address ranges), and pc 0x5000 lies outside every kernel.
+Program kernelProgram() {
+  Program program;
+  program.kernels = {{"a", 0x1000, 0x100},
+                     {"b", 0x2000, 0x100},
+                     {"c", 0x3000, 0x100},
+                     {"a", 0x4000, 0x100}};
+  return program;
+}
+
+/// The trace with each record's pc drawn from the regions above.
+std::vector<RetiredInst> withKernelPcs(std::vector<RetiredInst> trace,
+                                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed ^ 0xc0de);
+  for (RetiredInst& inst : trace) {
+    inst.pc = 0x1000 * (1 + rng() % 5) + 4 * (rng() % 64);
+  }
+  return trace;
+}
+
+/// One port accepting every group, so any record can issue.
+ThroughputModel anyPortModel(const LatencyTable& latencies) {
+  ThroughputModel model;
+  model.name = "any";
+  model.ports = {{"p0", (1u << kInstGroupCount) - 1}};
+  model.latencies = latencies;
+  return model;
+}
+
+/// A small hierarchy (16-byte lines, 4-set direct-mapped L1) that the
+/// random traces' two address ranges keep missing in.
+uarch::mem::CacheConfig smallCaches() {
+  uarch::mem::CacheConfig config;
+  config.lineBytes = 16;
+  config.l1d = {64, 1, 3};
+  config.l2 = {128, 2, 11};
+  config.memoryLatency = 47;
+  return config;
+}
+
+/// Feed `trace` to `observer` block by block, or one record at a time.
+void feed(TraceObserver& observer, const std::vector<RetiredInst>& trace,
+          std::uint64_t seed, bool perRecord) {
+  for (const std::span<const RetiredInst> block : blocksOf(trace, seed)) {
+    if (!perRecord) {
+      observer.onRetireBlock(block);
+      continue;
+    }
+    for (const RetiredInst& inst : block) observer.onRetire(inst);
+  }
+}
+
+TEST_P(DependencyDifferential, ThroughputChainsMatchTheBruteForceRule) {
+  const std::uint64_t seed = GetParam();
+  const std::vector<RetiredInst> trace =
+      withKernelPcs(randomTrace(seed, 700), seed);
+  const LatencyTable latencies = testLatencies();
+  const Program program = kernelProgram();
+  const KernelMap kernels(program);
+
+  // Each kernel's chain is the scaled CP of its own sub-trace.
+  std::vector<std::vector<RetiredInst>> subTraces(kernels.names().size());
+  for (const RetiredInst& inst : trace) {
+    const std::int32_t kernel = kernels.slotOf(inst);
+    if (kernel >= 0) subTraces[static_cast<std::size_t>(kernel)].push_back(inst);
+  }
+  for (const bool perRecord : {false, true}) {
+    SCOPED_TRACE(perRecord ? "one record at a time" : "blocks");
+    ThroughputBoundAnalyzer analyzer(anyPortModel(latencies), program);
+    feed(analyzer, trace, seed, perRecord);
+    EXPECT_EQ(analyzer.program().cpBound,
+              referenceCp(trace, 0, trace.size(), &latencies));
+    const auto bounds = analyzer.kernels();
+    ASSERT_EQ(bounds.size(), subTraces.size());
+    for (std::size_t k = 0; k < bounds.size(); ++k) {
+      SCOPED_TRACE("kernel " + bounds[k].name);
+      EXPECT_GT(subTraces[k].size(), 0u);  // every kernel is exercised
+      EXPECT_EQ(bounds[k].instructions, subTraces[k].size());
+      EXPECT_EQ(bounds[k].cpBound,
+                referenceCp(subTraces[k], 0, subTraces[k].size(),
+                            &latencies));
+    }
+  }
+}
+
+TEST_P(DependencyDifferential, CacheAwareCpMatchesTheBruteForceRule) {
+  const std::uint64_t seed = GetParam();
+  const std::vector<RetiredInst> trace = randomTrace(seed, 700);
+  const LatencyTable latencies = testLatencies();
+
+  // Costs from replaying the trace through a hierarchy of the same
+  // geometry: a load's slowest access, 1 for a store alone (forwarded),
+  // the group latency otherwise.
+  uarch::mem::MemoryHierarchy hierarchy(smallCaches());
+  std::vector<std::uint64_t> costs;
+  std::uint32_t slowest = 0;
+  for (const RetiredInst& inst : trace) {
+    std::uint32_t latency = 0;
+    for (const MemAccess& access : inst.loads) {
+      latency =
+          std::max(latency, hierarchy.load(access.addr, access.size).latency);
+    }
+    for (const MemAccess& access : inst.stores) {
+      hierarchy.store(access.addr, access.size);
+    }
+    slowest = std::max(slowest, latency);
+    costs.push_back(inst.loads.empty() ? costOf(inst, &latencies) : latency);
+  }
+  EXPECT_EQ(slowest, smallCaches().memoryLatency);  // misses reach memory
+  const std::uint64_t expected = referenceCpWith(
+      trace, 0, trace.size(), [&](std::size_t i) { return costs[i]; });
+
+  for (const bool perRecord : {false, true}) {
+    SCOPED_TRACE(perRecord ? "one record at a time" : "blocks");
+    uarch::mem::CacheAwareCpAnalyzer analyzer(latencies, smallCaches());
+    feed(analyzer, trace, seed, perRecord);
+    EXPECT_EQ(analyzer.criticalPath(), expected);
+    EXPECT_EQ(analyzer.instructions(), trace.size());
+    EXPECT_EQ(analyzer.cacheStats(), hierarchy.stats());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DependencyDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
@@ -481,15 +621,11 @@ TEST(DependencyResolver, UnwrittenSourcesCarryNoDependency) {
   EXPECT_EQ(recorder.records[1].producers,
             (std::vector<std::uint64_t>{0, 0}));
 
-  // Trace indices continue across blocks and restart after reset().
+  // Trace indices continue across blocks.
   resolver.resolveInto(trace, recorder);
   EXPECT_TRUE(recorder.records[2].producers.empty());
   EXPECT_EQ(recorder.records[3].producers,
             (std::vector<std::uint64_t>{2, 2}));
-  resolver.reset();
-  resolver.resolveInto(trace, recorder);
-  EXPECT_EQ(recorder.records[5].producers,
-            (std::vector<std::uint64_t>{0, 0}));
 
   // Without producers every register source is reported; a load from a
   // page no store has touched has no slot yet.

@@ -94,29 +94,5 @@ TEST(PathLength, EndToEndWithMachine) {
   EXPECT_EQ(counter.branchCount(), 8u);
 }
 
-TEST(PathLength, ResetKeepsRegionsAndZerosCounts) {
-  Program program;
-  program.kernels = {{"copy", 0x1000, 0x10}};
-  PathLengthCounter counter(program);
-  RetiredInst inst;
-  inst.pc = 0x1000;
-  inst.group = InstGroup::Branch;
-  counter.onRetire(inst);
-  inst.pc = 0x2000;
-  counter.onRetire(inst);
-
-  counter.reset();
-  EXPECT_EQ(counter.total(), 0u);
-  EXPECT_EQ(counter.kernelCount("copy"), 0u);
-  EXPECT_EQ(counter.unattributed(), 0u);
-  EXPECT_EQ(counter.branchCount(), 0u);
-
-  // Region attribution still works after reset.
-  inst.pc = 0x1008;
-  counter.onRetire(inst);
-  EXPECT_EQ(counter.total(), 1u);
-  EXPECT_EQ(counter.kernelCount("copy"), 1u);
-}
-
 }  // namespace
 }  // namespace riscmp

@@ -268,23 +268,5 @@ TEST(ThroughputBound, PerKernelChainsAreIndependent) {
   EXPECT_EQ(analyzer.program().cpBound, 600u);
 }
 
-TEST(ThroughputBound, ResetEqualsFresh) {
-  ThroughputBoundAnalyzer analyzer(tx2Like("tx2", 6), triadProgram());
-  const auto trace = triadTrace(50);
-  for (const RetiredInst& inst : trace) analyzer.onRetire(inst);
-  const auto first = analyzer.kernels();
-  analyzer.reset();
-  EXPECT_EQ(analyzer.instructions(), 0u);
-  EXPECT_EQ(analyzer.kernels()[0].instructions, 0u);
-  EXPECT_EQ(analyzer.kernels()[0].portBound, 0u);
-  for (const RetiredInst& inst : trace) analyzer.onRetire(inst);
-  const auto second = analyzer.kernels();
-  ASSERT_EQ(first.size(), second.size());
-  EXPECT_EQ(first[0].instructions, second[0].instructions);
-  EXPECT_EQ(first[0].portCycles, second[0].portCycles);
-  EXPECT_EQ(first[0].cpBound, second[0].cpBound);
-  EXPECT_EQ(first[0].issueBound, second[0].issueBound);
-}
-
 }  // namespace
 }  // namespace riscmp

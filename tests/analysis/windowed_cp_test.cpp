@@ -109,29 +109,6 @@ TEST(WindowedCP, IlpBounds) {
   EXPECT_LE(result.meanIlp, 8.0);
 }
 
-TEST(WindowedCP, ResetReplaysIdentically) {
-  const auto feed = [](WindowedCPAnalyzer& analyzer) {
-    for (int i = 0; i < 20; ++i) analyzer.onRetire(alu({1}, 1));
-    analyzer.onProgramEnd();
-  };
-  WindowedCPAnalyzer analyzer({4, 16});
-  feed(analyzer);
-  const auto first = analyzer.results();
-  analyzer.reset();
-  for (const auto& result : analyzer.results()) {
-    EXPECT_EQ(result.windows, 0u);
-  }
-  feed(analyzer);
-  const auto second = analyzer.results();
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].windows, second[i].windows);
-    EXPECT_DOUBLE_EQ(first[i].meanCp, second[i].meanCp);
-    EXPECT_DOUBLE_EQ(first[i].minCp, second[i].minCp);
-    EXPECT_DOUBLE_EQ(first[i].maxCp, second[i].maxCp);
-  }
-}
-
 TEST(WindowedCP, TinyTraceReportsZeroWindowsForLargeSizes) {
   // Regression for the fig2/ext_window_ablation NaN rendering: at tiny
   // --scale a 2000-wide window never fills, so the result must say

@@ -147,20 +147,6 @@ TEST(MemoryHierarchy, StridePrefetcherConfirmsThenCovers) {
   EXPECT_NEAR(s.prefetchAccuracy(), 7.0 / 8.0, 1e-12);
 }
 
-TEST(MemoryHierarchy, ResetReproducesIdenticalStats) {
-  MemoryHierarchy h(tinyConfig(256, 1, 1024, 2, PrefetchKind::Stride));
-  auto run = [&h] {
-    for (std::uint64_t i = 0; i < 64; ++i) h.load(i * 72, 8);
-    for (std::uint64_t i = 0; i < 64; ++i) h.store(i * 40, 8);
-    return h.stats();
-  };
-  const HierarchyStats first = run();
-  h.reset();
-  EXPECT_EQ(h.stats(), HierarchyStats{});
-  const HierarchyStats second = run();
-  EXPECT_EQ(first, second);
-}
-
 TEST(CacheConfigValidation, RejectsBadGeometry) {
   auto expectKey = [](CacheConfig config, const std::string& key) {
     try {
@@ -220,22 +206,6 @@ TEST(CacheAwareCp, StoresForwardAtUnitCostButWarmTheCache) {
   EXPECT_EQ(analyzer.criticalPath(), 1u + 4u);
   EXPECT_EQ(analyzer.cacheStats().stores, 1u);
   EXPECT_EQ(analyzer.cacheStats().l1Hits, 1u);
-}
-
-TEST(CacheAwareCp, ResetReproducesIdenticalPath) {
-  LatencyTable table = unitLatencies();
-  CacheAwareCpAnalyzer analyzer(table, tinyConfig(256, 1, 1024, 2));
-  auto run = [&analyzer] {
-    for (std::uint64_t i = 0; i < 32; ++i) {
-      analyzer.onRetire(loadInst(1, i * 96, 2));
-      analyzer.onRetire(aluInst(2, 2));
-    }
-    return analyzer.criticalPath();
-  };
-  const std::uint64_t first = run();
-  analyzer.reset();
-  EXPECT_EQ(analyzer.criticalPath(), 0u);
-  EXPECT_EQ(run(), first);
 }
 
 }  // namespace

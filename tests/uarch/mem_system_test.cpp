@@ -100,14 +100,6 @@ TEST(Tlb, L2CapacityEvictionForcesRewalk) {
   EXPECT_EQ(tlb.stats().walks, 6u);
 }
 
-TEST(Tlb, ResetClearsStateAndCounters) {
-  Tlb tlb(tinyTlb());
-  tlb.access(7);
-  tlb.reset();
-  EXPECT_EQ(tlb.stats(), TlbStats{});
-  EXPECT_EQ(tlb.access(7).level, TlbLevel::Walk);  // cold again
-}
-
 TEST(TlbValidation, RejectsBadGeometry) {
   CacheConfig config = tinyConfig();
 
@@ -337,12 +329,10 @@ TEST(MemSystem, PageSetsAreIsaInvariant) {
   EXPECT_GT(a64.summary().footprintPages, 1u);  // non-vacuous
 }
 
-TEST(MemSystem, ResetPreservesKernelNamesAndCoreCounts) {
+TEST(MemSystem, FreshAnalyzerListsKernelNamesAndCoreCounts) {
   const Program program = kernelProgram();
   const std::vector<unsigned> cores{1, 2};
   MemSystemAnalyzer analyzer(tinyConfig(), program, cores);
-  analyzer.onRetire(loadAt(0x10000, 0));
-  analyzer.reset();
 
   EXPECT_EQ(analyzer.instructions(), 0u);
   EXPECT_EQ(analyzer.summary(), MemSummary{});
@@ -355,7 +345,6 @@ TEST(MemSystem, ResetPreservesKernelNamesAndCoreCounts) {
   EXPECT_EQ(points[1].cores, 2u);
   EXPECT_EQ(points[1].sharedL2Accesses, 0u);
 
-  // Replaying after reset reproduces the original counters exactly.
   analyzer.onRetire(loadAt(0x10000, 0));
   EXPECT_EQ(analyzer.summary().tlb.walks, 1u);
 }
