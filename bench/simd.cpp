@@ -6,9 +6,15 @@
 // rendered reports are byte-identical to local execution. One process
 // holds the shared CompileCache for its lifetime, and --store=DIR adds the
 // persistent cross-process ResultStore — a warm daemon answers a repeated
-// grid with zero simulations. Concurrent requests for the same grid are
-// batched into a single runGrid. SIGTERM/SIGINT drain gracefully: buffered
-// requests are answered, the socket is unlinked, and the exit code is 0.
+// grid with zero simulations. The main thread polls the socket and answers
+// ping, stats and shutdown at once; one grid worker thread runs grids. Grid
+// requests that queue while the worker is busy are taken together as its
+// next batch (group commit), so concurrent requests for the same grid share
+// a single runGrid, and an idle daemon starts a grid as soon as it is read.
+// Oversized lines, excess connections and specs outside the daemon's
+// limits get typed error replies. SIGTERM/SIGINT drain gracefully: the
+// running and queued grids are answered, the socket is unlinked, and the
+// exit code is 0.
 #include <csignal>
 #include <iostream>
 #include <string>
