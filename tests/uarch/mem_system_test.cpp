@@ -1,10 +1,12 @@
 // Unit tests for the ISSUE 10 memory system: golden TLB hit/walk
 // sequences, page-boundary straddles, TLB geometry validation, the
 // stride-prefetcher wraparound edge at the ends of the address space, the
-// MSHR/bandwidth occupancy bounds, and the shared-L2 scaling model's
-// conservation and single-core-equivalence invariants.
+// MSHR/bandwidth occupancy bounds, the shared-L2 scaling model's
+// conservation and single-core-equivalence invariants, and a differential
+// check of the scaling model against a private-L1-per-core reference.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -47,7 +49,7 @@ CacheConfig tinyConfig(PrefetchKind prefetch = PrefetchKind::None) {
 }
 
 RetiredInst loadAt(std::uint64_t pc, std::uint64_t addr,
-                   std::uint32_t size = 8) {
+                   std::uint8_t size = 8) {
   RetiredInst inst;
   inst.pc = pc;
   inst.group = InstGroup::Load;
@@ -357,6 +359,237 @@ TEST(MemSystem, DuplicateAndZeroCoreCountsAreIgnored) {
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].cores, 2u);
   EXPECT_EQ(points[1].cores, 1u);
+}
+
+
+// ---- Differential: the scaling model against private L1s per core ----
+
+/// The shared-L2 scaling model written out the direct way: every
+/// simulated core owns a private L1, and core `c` replays each demand line
+/// at `line + c * 2^24` through its L1 into the shared, non-inclusive L2.
+/// MemSystemAnalyzer must reproduce every ScalingPoint field of this
+/// reference. It also counts which write-back path each dirty L1 victim
+/// takes, so the tests can show that both paths were exercised.
+class PrivateL1Reference final : public TraceObserver {
+ public:
+  PrivateL1Reference(const CacheConfig& config,
+                     std::span<const unsigned> coreCounts)
+      : config_(config) {
+    for (const unsigned cores : coreCounts) {
+      Point point{{}, Cache(config.l2Sets(), config.l2.ways), {}};
+      for (unsigned c = 0; c < cores; ++c) {
+        point.l1.emplace_back(config.l1Sets(), config.l1d.ways);
+      }
+      point.result.cores = cores;
+      point.result.perCore.resize(cores);
+      points_.push_back(std::move(point));
+    }
+  }
+
+  void onRetire(const RetiredInst& inst) override {
+    for (const MemAccess& access : inst.loads) accessBytes(access, false);
+    for (const MemAccess& access : inst.stores) accessBytes(access, true);
+  }
+
+  [[nodiscard]] std::vector<ScalingPoint> scaling() const {
+    std::vector<ScalingPoint> out;
+    for (const Point& p : points_) {
+      ScalingPoint point = p.result;
+      point.bytesFromMem = (point.sharedL2Misses + point.sharedWritebacksToMem) *
+                           config_.lineBytes;
+      point.bandwidthBoundCycles =
+          (point.bytesFromMem + config_.memBytesPerCycle - 1) /
+          config_.memBytesPerCycle;
+      std::uint64_t missCycles = 0;
+      for (const CoreShare& share : point.perCore) {
+        missCycles += share.l2Hits * config_.l2.latency +
+                      share.l2Misses * config_.memoryLatency;
+      }
+      const std::uint64_t mshrs = std::uint64_t{config_.mshrs} * point.cores;
+      point.mshrBoundCycles = (missCycles + mshrs - 1) / mshrs;
+      out.push_back(std::move(point));
+    }
+    return out;
+  }
+
+  std::uint64_t writebacksIntoResidentL2Line = 0;
+  std::uint64_t writebacksRefillingL2 = 0;
+
+ private:
+  static constexpr std::uint64_t kCoreOffsetLines = std::uint64_t{1} << 24;
+
+  struct Point {
+    std::vector<Cache> l1;  ///< one per core
+    Cache l2;
+    ScalingPoint result;
+  };
+
+  void accessBytes(const MemAccess& access, bool write) {
+    const std::uint64_t lineBytes = config_.lineBytes;
+    const std::uint64_t last = access.addr + std::max<std::uint64_t>(access.size, 1) - 1;
+    for (std::uint64_t line = access.addr / lineBytes; line <= last / lineBytes;
+         ++line) {
+      for (Point& point : points_) {
+        for (std::uint32_t c = 0; c < point.result.cores; ++c) {
+          accessLine(point, c, line + c * kCoreOffsetLines, write);
+        }
+      }
+    }
+  }
+
+  void accessLine(Point& point, std::uint32_t core, std::uint64_t line,
+                  bool write) {
+    CoreShare& share = point.result.perCore[core];
+    ++share.accesses;
+    if (point.l1[core].access(line, write).hit) {
+      share.latencyCycles += config_.l1d.latency;
+      return;
+    }
+    ++share.l1Misses;
+    ++point.result.sharedL2Accesses;
+    if (point.l2.access(line, false).hit) {
+      ++point.result.sharedL2Hits;
+      ++share.l2Hits;
+      share.latencyCycles += config_.l2.latency;
+    } else {
+      ++point.result.sharedL2Misses;
+      ++share.l2Misses;
+      share.latencyCycles += config_.memoryLatency;
+      if (point.l2.fill(line, false, false).dirty) {
+        ++point.result.sharedWritebacksToMem;
+      }
+    }
+    const Cache::Eviction victim = point.l1[core].fill(line, write, false);
+    if (!victim.valid || !victim.dirty) return;
+    if (point.l2.contains(victim.line)) {
+      ++writebacksIntoResidentL2Line;
+      point.l2.access(victim.line, true);
+    } else {
+      ++writebacksRefillingL2;
+      if (point.l2.fill(victim.line, true, false).dirty) {
+        ++point.result.sharedWritebacksToMem;
+      }
+    }
+  }
+
+  CacheConfig config_;
+  std::vector<Point> points_;
+};
+
+void expectSameScaling(const std::vector<ScalingPoint>& actual,
+                       const std::vector<ScalingPoint>& expected,
+                       const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const ScalingPoint& a = actual[i];
+    const ScalingPoint& e = expected[i];
+    const std::string where = label + ", " + std::to_string(e.cores) + " cores";
+    EXPECT_EQ(a.cores, e.cores) << where;
+    EXPECT_EQ(a.sharedL2Accesses, e.sharedL2Accesses) << where;
+    EXPECT_EQ(a.sharedL2Hits, e.sharedL2Hits) << where;
+    EXPECT_EQ(a.sharedL2Misses, e.sharedL2Misses) << where;
+    EXPECT_EQ(a.sharedWritebacksToMem, e.sharedWritebacksToMem) << where;
+    EXPECT_EQ(a.bytesFromMem, e.bytesFromMem) << where;
+    EXPECT_EQ(a.bandwidthBoundCycles, e.bandwidthBoundCycles) << where;
+    EXPECT_EQ(a.mshrBoundCycles, e.mshrBoundCycles) << where;
+    ASSERT_EQ(a.perCore.size(), e.perCore.size()) << where;
+    for (std::size_t c = 0; c < a.perCore.size(); ++c) {
+      const std::string core = where + ", core " + std::to_string(c);
+      EXPECT_EQ(a.perCore[c].accesses, e.perCore[c].accesses) << core;
+      EXPECT_EQ(a.perCore[c].l1Misses, e.perCore[c].l1Misses) << core;
+      EXPECT_EQ(a.perCore[c].l2Hits, e.perCore[c].l2Hits) << core;
+      EXPECT_EQ(a.perCore[c].l2Misses, e.perCore[c].l2Misses) << core;
+      EXPECT_EQ(a.perCore[c].latencyCycles, e.perCore[c].latencyCycles)
+          << core;
+    }
+    EXPECT_TRUE(a == e) << where;
+  }
+}
+
+/// A seeded stream of records, each with up to two loads and two stores,
+/// over a pool of `poolLines` lines: small enough to hit, large enough to
+/// evict from the tiny geometries below. Offsets inside a line are random,
+/// so some accesses straddle two lines.
+std::vector<RetiredInst> randomRecords(std::uint64_t seed,
+                                       std::uint64_t poolLines,
+                                       std::size_t count) {
+  std::mt19937_64 rng(seed);
+  const auto randomAccess = [&] {
+    constexpr std::uint8_t kSizes[] = {1, 2, 4, 8};
+    return MemAccess{(rng() % poolLines) * 64 + rng() % 64, kSizes[rng() % 4]};
+  };
+  std::vector<RetiredInst> records(count);
+  for (RetiredInst& inst : records) {
+    inst.pc = 0x10000;
+    for (std::uint64_t n = rng() % 3; n > 0; --n) {
+      inst.loads.push_back(randomAccess());
+    }
+    for (std::uint64_t n = rng() % 3; n > 0; --n) {
+      inst.stores.push_back(randomAccess());
+    }
+  }
+  return records;
+}
+
+TEST(MemSystemDifferential, RandomStreamsMatchPrivateL1Reference) {
+  // Direct-mapped, 2-way and fully associative 4-line L1s, each over an L2
+  // barely larger (one 5-way set) and over a 16-line 2-way L2.
+  const LevelConfig l1s[] = {{256, 1, 4}, {256, 2, 4}, {256, 4, 4}};
+  const LevelConfig l2s[] = {{320, 5, 12}, {1024, 2, 12}};
+  const std::vector<std::vector<unsigned>> coreSets = {{1, 2, 4}, {3}};
+  const Program program = kernelProgram();
+
+  for (const LevelConfig& l1 : l1s) {
+    for (const LevelConfig& l2 : l2s) {
+      CacheConfig config = tinyConfig();
+      config.l1d = l1;
+      config.l2 = l2;
+      std::uint64_t resident = 0;
+      std::uint64_t refill = 0;
+      for (const std::vector<unsigned>& cores : coreSets) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          const std::vector<RetiredInst> records =
+              randomRecords(seed, 12, 1500);
+          MemSystemAnalyzer analyzer(config, program, cores);
+          PrivateL1Reference reference(config, cores);
+          analyzer.onRetireBlock(records);
+          reference.onRetireBlock(records);
+          expectSameScaling(analyzer.scaling(), reference.scaling(),
+                            "L1 " + std::to_string(l1.ways) + "-way, L2 " +
+                                std::to_string(l2.sizeBytes) + " B, seed " +
+                                std::to_string(seed));
+          resident += reference.writebacksIntoResidentL2Line;
+          refill += reference.writebacksRefillingL2;
+        }
+      }
+      // Both write-back paths of the non-inclusive L2 were exercised.
+      EXPECT_GT(resident, 0u) << l1.ways << "-way L1, " << l2.sizeBytes;
+      EXPECT_GT(refill, 0u) << l1.ways << "-way L1, " << l2.sizeBytes;
+    }
+  }
+}
+
+TEST(MemSystemDifferential, SuiteKernelsMatchPrivateL1Reference) {
+  CacheConfig config = tinyConfig();
+  config.l1d = {4 * 1024, 8, 4};
+  config.l2 = {32 * 1024, 8, 12};
+  const std::vector<unsigned> cores{1, 2, 4};
+  for (const workloads::WorkloadSpec& workload : workloads::paperSuite(0.05)) {
+    for (const Arch arch : {Arch::Rv64, Arch::AArch64}) {
+      const kgen::Compiled compiled =
+          kgen::compile(workload.module, arch, kgen::CompilerEra::Gcc12);
+      MemSystemAnalyzer analyzer(config, compiled.program, cores);
+      PrivateL1Reference reference(config, cores);
+      Machine machine(compiled.program);
+      machine.addObserver(analyzer);
+      machine.addObserver(reference);
+      machine.run();
+      const std::vector<ScalingPoint> expected = reference.scaling();
+      expectSameScaling(analyzer.scaling(), expected,
+                        workload.name + (arch == Arch::Rv64 ? " rv64" : " a64"));
+      EXPECT_GT(expected.back().sharedL2Accesses, 0u) << workload.name;
+    }
+  }
 }
 
 }  // namespace
