@@ -74,8 +74,9 @@ CellObservers::CellObservers(const EngineOptions& options, unsigned analyses,
   if (dependencies.any()) {
     observers_.push_back(&dependencies_.emplace(dependencies));
   }
-  // Both cache analyses own a private MemoryHierarchy: observers are
-  // independent by contract, and the same trace + geometry gives each
+  // The cache model, the memory system and cache-aware CP each own a
+  // private MemoryHierarchy (as does the memory-aware OoO core): observers
+  // are independent by contract, and the same trace + geometry gives each
   // replica identical behaviour.
   const uarch::mem::CacheConfig* cacheConfig =
       (analyses & (kCacheModel | kCacheAwareCP | kMemSystem)) &&

@@ -8,14 +8,7 @@ CacheAwareCpAnalyzer::CacheAwareCpAnalyzer(const LatencyTable& latencies,
 
 std::uint64_t CacheAwareCpAnalyzer::cost(const RetiredInst& inst,
                                          std::uint8_t costClass) {
-  std::uint32_t loadLatency = 0;
-  for (const MemAccess& access : inst.loads) {
-    loadLatency = std::max(loadLatency,
-                           hierarchy_.load(access.addr, access.size).latency);
-  }
-  for (const MemAccess& access : inst.stores) {
-    hierarchy_.store(access.addr, access.size);
-  }
+  const std::uint32_t loadLatency = hierarchy_.retire(inst);
   return inst.loads.empty() ? costs_[costClass] : loadLatency;
 }
 

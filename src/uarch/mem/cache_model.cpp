@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bits.hpp"
-
 namespace riscmp::uarch::mem {
 
 CacheModelAnalyzer::CacheModelAnalyzer(const CacheConfig& config,
@@ -29,21 +27,11 @@ void CacheModelAnalyzer::recordLines(std::uint64_t addr, std::uint32_t size,
   const std::uint64_t last =
       hierarchy_.lineOf(addr + std::max(size, 1u) - 1);
   for (std::uint64_t line = first; line <= last; ++line) {
-    FlatHashMap64<std::uint8_t>& program = lineSets_.back();
-    if (program.find(line) == nullptr) {
-      program.assign(line, 1);
-      ++footprintLines_;
-      lineSetDigest_ += mix64(line);
-    }
+    insertFootprint(lineSets_.back(), line, footprintLines_, lineSetDigest_);
     if (kernel < 0) continue;
-    FlatHashMap64<std::uint8_t>& set =
-        lineSets_[static_cast<std::size_t>(kernel)];
-    if (set.find(line) == nullptr) {
-      set.assign(line, 1);
-      KernelStats& stats = kernels_[static_cast<std::size_t>(kernel)];
-      ++stats.footprintLines;
-      stats.lineSetDigest += mix64(line);
-    }
+    KernelStats& stats = kernels_[static_cast<std::size_t>(kernel)];
+    insertFootprint(lineSets_[static_cast<std::size_t>(kernel)], line,
+                    stats.footprintLines, stats.lineSetDigest);
   }
 }
 
@@ -54,22 +42,14 @@ void CacheModelAnalyzer::retireOne(const RetiredInst& inst) {
       kernel < 0 ? nullptr : &kernels_[static_cast<std::size_t>(kernel)];
   if (stats != nullptr) ++stats->instructions;
 
-  for (const MemAccess& access : inst.loads) {
-    const AccessOutcome outcome = hierarchy_.load(access.addr, access.size);
+  hierarchy_.retire(inst, [&](const MemAccess& access, bool write,
+                              const AccessOutcome& outcome) {
     recordLines(access.addr, access.size, kernel);
-    if (stats == nullptr) continue;
-    ++stats->loads;
+    if (stats == nullptr) return;
+    ++(write ? stats->stores : stats->loads);
     stats->l1Misses += outcome.l1LineMisses;
     stats->l2Misses += outcome.l2LineMisses;
-  }
-  for (const MemAccess& access : inst.stores) {
-    const AccessOutcome outcome = hierarchy_.store(access.addr, access.size);
-    recordLines(access.addr, access.size, kernel);
-    if (stats == nullptr) continue;
-    ++stats->stores;
-    stats->l1Misses += outcome.l1LineMisses;
-    stats->l2Misses += outcome.l2LineMisses;
-  }
+  });
 }
 
 }  // namespace riscmp::uarch::mem

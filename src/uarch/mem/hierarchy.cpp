@@ -163,33 +163,23 @@ HitLevel MemoryHierarchy::accessLine(std::uint64_t line, bool write) {
   }
   ++stats_.l1Misses;
 
+  HitLevel level = HitLevel::L2;
   if (l2_.access(line, /*write=*/false).hit) {
     ++stats_.l2Hits;
-    fillL1(line, write, /*prefetched=*/false);
-    return HitLevel::L2;
+  } else {
+    ++stats_.l2Misses;
+    if (fillL2(l2_, line, /*dirty=*/false)) ++stats_.writebacksToMem;
+    level = HitLevel::Memory;
   }
-  ++stats_.l2Misses;
-
-  const Cache::Eviction victim =
-      l2_.fill(line, /*dirty=*/false, /*prefetched=*/false);
-  if (victim.valid && victim.dirty) ++stats_.writebacksToMem;
   fillL1(line, write, /*prefetched=*/false);
-  return HitLevel::Memory;
+  return level;
 }
 
 void MemoryHierarchy::fillL1(std::uint64_t line, bool dirty, bool prefetched) {
   const Cache::Eviction victim = l1_.fill(line, dirty, prefetched);
-  if (!victim.valid || !victim.dirty) return;
+  if (!victim.dirty) return;
   ++stats_.writebacksToL2;
-  // Write-back path (non-inclusive): dirty the line if L2 still holds it,
-  // otherwise re-install it, spilling any dirty L2 victim to memory.
-  if (l2_.contains(victim.line)) {
-    l2_.access(victim.line, /*write=*/true);
-  } else {
-    const Cache::Eviction spilled =
-        l2_.fill(victim.line, /*dirty=*/true, /*prefetched=*/false);
-    if (spilled.valid && spilled.dirty) ++stats_.writebacksToMem;
-  }
+  if (writeBackToL2(l2_, victim.line)) ++stats_.writebacksToMem;
 }
 
 void MemoryHierarchy::prefetchLine(std::uint64_t line) {
@@ -197,11 +187,19 @@ void MemoryHierarchy::prefetchLine(std::uint64_t line) {
   ++stats_.prefetchesIssued;
   if (!l2_.access(line, /*write=*/false).hit) {
     ++stats_.prefetchFillsFromMem;
-    const Cache::Eviction victim =
-        l2_.fill(line, /*dirty=*/false, /*prefetched=*/false);
-    if (victim.valid && victim.dirty) ++stats_.writebacksToMem;
+    if (fillL2(l2_, line, /*dirty=*/false)) ++stats_.writebacksToMem;
   }
   fillL1(line, /*dirty=*/false, /*prefetched=*/true);
+}
+
+bool fillL2(Cache& l2, std::uint64_t line, bool dirty) {
+  return l2.fill(line, dirty, /*prefetched=*/false).dirty;
+}
+
+bool writeBackToL2(Cache& l2, std::uint64_t line) {
+  if (!l2.contains(line)) return fillL2(l2, line, /*dirty=*/true);
+  l2.access(line, /*write=*/true);
+  return false;
 }
 
 }  // namespace riscmp::uarch::mem

@@ -12,11 +12,20 @@
 // class itself is a pure timing/tag model: every access returns the level
 // it hit and the resulting load-to-use latency, and accumulates the global
 // hit/miss/write-back/prefetch counters the E11 report aggregates.
+//
+// This header is the one home of the cache rules every analyzer shares:
+// the record walk (MemoryHierarchy::retire), the non-inclusive L2 fill and
+// write-back (fillL2, writeBackToL2), and the footprint-set digest
+// (insertFootprint).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
+#include "isa/trace.hpp"
+#include "support/bits.hpp"
+#include "support/flat_hash.hpp"
 #include "uarch/mem/cache.hpp"
 #include "uarch/mem/prefetcher.hpp"
 
@@ -125,6 +134,28 @@ struct HierarchyStats {
   }
 };
 
+/// Install `line` (not resident) into a non-inclusive L2. Returns true
+/// when the fill displaced a dirty line, i.e. wrote one back to memory.
+bool fillL2(Cache& l2, std::uint64_t line, bool dirty);
+
+/// Absorb a dirty L1 victim into a non-inclusive L2: dirty the line in
+/// place when L2 still holds it, otherwise re-install it dirty. Returns
+/// true when the re-install spilled a dirty L2 line to memory.
+bool writeBackToL2(Cache& l2, std::uint64_t line);
+
+/// Add `id` (a line or page number) to a footprint `set`. The first time
+/// it is seen, count it and add mix64(id) to `digest`: a commutative sum,
+/// so two runs that touch the same set in any order agree.
+inline void insertFootprint(FlatHashMap64<std::uint8_t>& set,
+                            std::uint64_t id, std::uint64_t& count,
+                            std::uint64_t& digest) {
+  std::uint8_t& seen = set.findOrInsert(id, 0);
+  if (seen != 0) return;
+  seen = 1;
+  ++count;
+  digest += mix64(id);
+}
+
 class MemoryHierarchy {
  public:
   /// Throws riscmp::ConfigError when the geometry is invalid (same checks
@@ -135,6 +166,26 @@ class MemoryHierarchy {
   /// write-allocate: a store miss fetches the line before dirtying it.
   AccessOutcome load(std::uint64_t addr, std::uint32_t size);
   AccessOutcome store(std::uint64_t addr, std::uint32_t size);
+
+  /// Run one retired record through the hierarchy: its loads, then its
+  /// stores, handing each to `visit(access, write, outcome)`. Returns the
+  /// slowest load's load-to-use latency, 0 when the record loads nothing.
+  template <typename Visit>
+  std::uint32_t retire(const RetiredInst& inst, Visit&& visit) {
+    std::uint32_t loadLatency = 0;
+    for (const MemAccess& access : inst.loads) {
+      const AccessOutcome outcome = load(access.addr, access.size);
+      loadLatency = std::max(loadLatency, outcome.latency);
+      visit(access, /*write=*/false, outcome);
+    }
+    for (const MemAccess& access : inst.stores) {
+      visit(access, /*write=*/true, store(access.addr, access.size));
+    }
+    return loadLatency;
+  }
+  std::uint32_t retire(const RetiredInst& inst) {
+    return retire(inst, [](const MemAccess&, bool, const AccessOutcome&) {});
+  }
 
   [[nodiscard]] const HierarchyStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }

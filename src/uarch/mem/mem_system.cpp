@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bits.hpp"
-
 namespace riscmp::uarch::mem {
 namespace {
 
@@ -22,58 +20,41 @@ constexpr std::uint64_t kCoreOffsetLines = std::uint64_t{1} << 24;
 MemSystemAnalyzer::SharedHierarchy::SharedHierarchy(const CacheConfig& config,
                                                     std::uint32_t cores)
     : l2(config.l2Sets(), config.l2.ways) {
-  l1.reserve(cores);
-  for (std::uint32_t c = 0; c < cores; ++c) {
-    l1.emplace_back(config.l1Sets(), config.l1d.ways);
-  }
   point.cores = cores;
   point.perCore.resize(cores);
 }
 
-void MemSystemAnalyzer::SharedHierarchy::accessLine(const CacheConfig& config,
-                                                    std::uint32_t core,
-                                                    std::uint64_t line,
-                                                    bool write) {
-  CoreShare& share = point.perCore[core];
-  ++share.accesses;
-  if (l1[core].access(line, write).hit) {
-    share.latencyCycles += config.l1d.latency;
-    return;
-  }
-  ++share.l1Misses;
+void MemSystemAnalyzer::SharedHierarchy::accessLine(
+    const CacheConfig& config, std::uint64_t line, bool l1Hit,
+    const Cache::Eviction& victim) {
+  for (std::uint32_t core = 0; core < point.cores; ++core) {
+    CoreShare& share = point.perCore[core];
+    ++share.accesses;
+    if (l1Hit) {
+      share.latencyCycles += config.l1d.latency;
+      continue;
+    }
+    ++share.l1Misses;
 
-  // Shared-L2 path: counted independently of the per-core shares so the
-  // E14 conservation checks compare two distinct tallies.
-  ++point.sharedL2Accesses;
-  if (l2.access(line, /*write=*/false).hit) {
-    ++point.sharedL2Hits;
-    ++share.l2Hits;
-    share.latencyCycles += config.l2.latency;
-    fillL1(core, line, write);
-    return;
-  }
-  ++point.sharedL2Misses;
-  ++share.l2Misses;
-  share.latencyCycles += config.memoryLatency;
-  const Cache::Eviction victim =
-      l2.fill(line, /*dirty=*/false, /*prefetched=*/false);
-  if (victim.valid && victim.dirty) ++point.sharedWritebacksToMem;
-  fillL1(core, line, write);
-}
-
-void MemSystemAnalyzer::SharedHierarchy::fillL1(std::uint32_t core,
-                                                std::uint64_t line,
-                                                bool dirty) {
-  const Cache::Eviction victim =
-      l1[core].fill(line, dirty, /*prefetched=*/false);
-  if (!victim.valid || !victim.dirty) return;
-  // Non-inclusive write-back, as in MemoryHierarchy::fillL1.
-  if (l2.contains(victim.line)) {
-    l2.access(victim.line, /*write=*/true);
-  } else {
-    const Cache::Eviction spilled =
-        l2.fill(victim.line, /*dirty=*/true, /*prefetched=*/false);
-    if (spilled.valid && spilled.dirty) ++point.sharedWritebacksToMem;
+    // Shared-L2 path: counted independently of the per-core shares so the
+    // E14 conservation checks compare two distinct tallies.
+    const std::uint64_t offset = core * kCoreOffsetLines;
+    ++point.sharedL2Accesses;
+    if (l2.access(line + offset, /*write=*/false).hit) {
+      ++point.sharedL2Hits;
+      ++share.l2Hits;
+      share.latencyCycles += config.l2.latency;
+    } else {
+      ++point.sharedL2Misses;
+      ++share.l2Misses;
+      share.latencyCycles += config.memoryLatency;
+      if (fillL2(l2, line + offset, /*dirty=*/false)) {
+        ++point.sharedWritebacksToMem;
+      }
+    }
+    if (victim.dirty && writeBackToL2(l2, victim.line + offset)) {
+      ++point.sharedWritebacksToMem;
+    }
   }
 }
 
@@ -83,6 +64,7 @@ MemSystemAnalyzer::MemSystemAnalyzer(const CacheConfig& config,
     : config_((validateCacheConfig(config), config)),
       hierarchy_(config),
       tlb_(config.tlb ? *config.tlb : TlbConfig{}),
+      coreL1_(config.l1Sets(), config.l1d.ways),
       kernelMap_(program) {
   for (const unsigned cores : coreCounts) {
     if (cores == 0) continue;
@@ -108,58 +90,40 @@ void MemSystemAnalyzer::onRetireBlock(std::span<const RetiredInst> block) {
   for (const RetiredInst& inst : block) retireOne(inst);
 }
 
-void MemSystemAnalyzer::accessMemory(std::uint64_t addr, std::uint32_t size,
-                                     bool write, std::int32_t kernel) {
+void MemSystemAnalyzer::translate(const MemAccess& access,
+                                  std::int32_t kernel) {
   MemKernelStats* stats =
       kernel < 0 ? nullptr : &kernels_[static_cast<std::size_t>(kernel)];
-
-  // Single-core hierarchy replica feeding the MSHR/bandwidth bounds.
-  if (write) {
-    hierarchy_.store(addr, size);
-  } else {
-    hierarchy_.load(addr, size);
-  }
-
-  // Translation: an access straddling a page boundary looks up every page
-  // it covers (the straddle test pins this at exactly two).
-  const std::uint64_t firstPage = tlb_.pageOf(addr);
-  const std::uint64_t lastPage = tlb_.pageOf(addr + std::max(size, 1u) - 1);
+  // An access straddling a page boundary looks up every page it covers
+  // (the straddle test pins this at exactly two).
+  const std::uint64_t firstPage = tlb_.pageOf(access.addr);
+  const std::uint64_t lastPage =
+      tlb_.pageOf(access.addr + std::max<std::uint64_t>(access.size, 1) - 1);
   for (std::uint64_t page = firstPage; page <= lastPage; ++page) {
     const Tlb::Outcome outcome = tlb_.access(page);
-    if (stats != nullptr) {
-      ++stats->tlbAccesses;
-      if (outcome.level == TlbLevel::Walk) ++stats->tlbWalks;
-    }
-
-    FlatHashMap64<std::uint8_t>& program = pageSets_.back();
-    if (program.find(page) == nullptr) {
-      program.assign(page, 1);
-      ++footprintPages_;
-      pageSetDigest_ += mix64(page);
-    }
-    if (stats != nullptr) {
-      FlatHashMap64<std::uint8_t>& set =
-          pageSets_[static_cast<std::size_t>(kernel)];
-      if (set.find(page) == nullptr) {
-        set.assign(page, 1);
-        ++stats->footprintPages;
-        stats->pageSetDigest += mix64(page);
-      }
-    }
+    insertFootprint(pageSets_.back(), page, footprintPages_, pageSetDigest_);
+    if (stats == nullptr) continue;
+    ++stats->tlbAccesses;
+    if (outcome.level == TlbLevel::Walk) ++stats->tlbWalks;
+    insertFootprint(pageSets_[static_cast<std::size_t>(kernel)], page,
+                    stats->footprintPages, stats->pageSetDigest);
   }
+}
 
-  // Shared-L2 scaling: round-robin interleave N copies of this access at
-  // disjoint per-core offsets (core order fixed -> deterministic).
-  const std::uint64_t firstLine = hierarchy_.lineOf(addr);
-  const std::uint64_t lastLine =
-      hierarchy_.lineOf(addr + std::max(size, 1u) - 1);
+void MemSystemAnalyzer::accessSharedLines(const MemAccess& access,
+                                          bool write) {
+  // Round-robin interleave N copies of each line at disjoint per-core
+  // offsets (core order fixed -> deterministic).
+  const std::uint64_t firstLine = hierarchy_.lineOf(access.addr);
+  const std::uint64_t lastLine = hierarchy_.lineOf(
+      access.addr + std::max<std::uint64_t>(access.size, 1) - 1);
   for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+    const bool l1Hit = coreL1_.access(line, write).hit;
+    const Cache::Eviction victim =
+        l1Hit ? Cache::Eviction{}
+              : coreL1_.fill(line, write, /*prefetched=*/false);
     for (SharedHierarchy& sharedHierarchy : shared_) {
-      for (std::uint32_t core = 0; core < sharedHierarchy.point.cores;
-           ++core) {
-        sharedHierarchy.accessLine(config_, core,
-                                   line + core * kCoreOffsetLines, write);
-      }
+      sharedHierarchy.accessLine(config_, line, l1Hit, victim);
     }
   }
 }
@@ -169,12 +133,13 @@ void MemSystemAnalyzer::retireOne(const RetiredInst& inst) {
   const std::int32_t kernel = kernelMap_.slotOf(inst);
   if (kernel >= 0) ++kernels_[static_cast<std::size_t>(kernel)].instructions;
 
-  for (const MemAccess& access : inst.loads) {
-    accessMemory(access.addr, access.size, /*write=*/false, kernel);
-  }
-  for (const MemAccess& access : inst.stores) {
-    accessMemory(access.addr, access.size, /*write=*/true, kernel);
-  }
+  // The single-core replica feeds the MSHR/bandwidth bounds; every access
+  // it walks is also translated and fed to the shared-L2 scaling model.
+  hierarchy_.retire(inst, [&](const MemAccess& access, bool write,
+                              const AccessOutcome&) {
+    translate(access, kernel);
+    accessSharedLines(access, write);
+  });
 }
 
 MemSummary MemSystemAnalyzer::summary() const {

@@ -18,8 +18,10 @@
 //     shared L2, fed by round-robin interleaving N copies of the retired
 //     stream at disjoint address offsets (the deterministic equivalent of
 //     N per-core Machines running the same kernel — see DESIGN.md §16).
-//     Per-core hit/miss/latency attribution opens 1/2/4-core scaling
-//     curves with an exact miss-conservation invariant.
+//     The offsets keep every private L1 a shifted copy of one L1, so the
+//     analyzer walks one L1 per line and feeds each core count's shared
+//     L2 from it. Per-core hit/miss/latency attribution opens 1/2/4-core
+//     scaling curves with an exact miss-conservation invariant.
 //
 // Like every analyzer in this repo the model is a pure timing/tag layer:
 // it never changes architectural state, and all counters are deterministic
@@ -131,26 +133,32 @@ class MemSystemAnalyzer final : public TraceObserver {
 
 
  private:
-  /// Private L1s per core over one shared L2, demand-only (prefetch
-  /// behaviour under contention is out of scope; see DESIGN.md §16).
+  /// One core count's shared L2 and its tallies, demand-only (prefetch
+  /// behaviour under contention is out of scope; see DESIGN.md §16). The
+  /// cores' private L1s are the analyzer's one coreL1_ walk, shifted.
   struct SharedHierarchy {
-    std::vector<Cache> l1;  ///< one per core
     Cache l2;
     ScalingPoint point;
 
     SharedHierarchy(const CacheConfig& config, std::uint32_t cores);
-    void accessLine(const CacheConfig& config, std::uint32_t core,
-                    std::uint64_t line, bool write);
-    void fillL1(std::uint32_t core, std::uint64_t line, bool dirty);
+    /// Each core's share of one line, in core order: on an L1 miss, the
+    /// L2 access, then the write-back of the dirty L1 victim, both at the
+    /// core's offset.
+    void accessLine(const CacheConfig& config, std::uint64_t line,
+                    bool l1Hit, const Cache::Eviction& victim);
   };
 
   void retireOne(const RetiredInst& inst);
-  void accessMemory(std::uint64_t addr, std::uint32_t size, bool write,
-                    std::int32_t kernel);
+  void translate(const MemAccess& access, std::int32_t kernel);
+  void accessSharedLines(const MemAccess& access, bool write);
 
   CacheConfig config_;
   MemoryHierarchy hierarchy_;  ///< private single-core replica for bounds
   Tlb tlb_;
+  /// The one L1 walk: core `c`'s private L1 would be this one with every
+  /// line shifted by `c * 2^24`, so it stands for all of them (DESIGN.md
+  /// §16).
+  Cache coreL1_;
   std::vector<SharedHierarchy> shared_;
   std::uint64_t instructions_ = 0;
   std::uint64_t footprintPages_ = 0;

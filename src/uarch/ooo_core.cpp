@@ -120,17 +120,8 @@ std::uint64_t OoOCoreModel::schedule(const RetiredInst& inst,
   std::uint32_t latency =
       model_.latencies[static_cast<std::size_t>(inst.group)];
   if (hierarchy_) {
-    if (!inst.loads.empty()) {
-      std::uint32_t dynamic = 0;
-      for (const MemAccess& access : inst.loads) {
-        dynamic = std::max(
-            dynamic, hierarchy_->load(access.addr, access.size).latency);
-      }
-      latency = dynamic;
-    }
-    for (const MemAccess& access : inst.stores) {
-      hierarchy_->store(access.addr, access.size);
-    }
+    const std::uint32_t loadLatency = hierarchy_->retire(inst);
+    if (!inst.loads.empty()) latency = loadLatency;
   }
   const std::uint64_t complete = issue + latency;
 
