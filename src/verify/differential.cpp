@@ -33,6 +33,9 @@ OutcomeKind outcomeForFault(const Fault& fault) {
       return OutcomeKind::ConfigError;
     case FaultKind::Validation:
       return OutcomeKind::Divergence;
+    case FaultKind::Timeout:
+    case FaultKind::Crash:
+      return OutcomeKind::Unclassified;
   }
   return OutcomeKind::Unclassified;
 }

@@ -41,13 +41,13 @@ TEST(Memory, NonZeroBase) {
   EXPECT_EQ(memory.end(), 0x11000u);
   memory.write<std::uint32_t>(0x10000, 7);
   EXPECT_EQ(memory.read<std::uint32_t>(0x10000), 7u);
-  EXPECT_THROW(memory.read<std::uint32_t>(0xffff), MemoryFault);
+  EXPECT_THROW((void)memory.read<std::uint32_t>(0xffff), MemoryFault);
 }
 
 TEST(Memory, FaultsCarryAddress) {
   Memory memory(64);
   try {
-    memory.read<std::uint64_t>(60);  // 4 bytes past the end
+    (void)memory.read<std::uint64_t>(60);  // 4 bytes past the end
     FAIL() << "expected MemoryFault";
   } catch (const MemoryFault& fault) {
     EXPECT_EQ(fault.addr(), 60u);
@@ -78,7 +78,7 @@ TEST(Memory, BlockOperations) {
 TEST(Memory, OverflowingRangeCheckIsSafe) {
   Memory memory(64);
   // addr + size would wrap; the range check must not overflow.
-  EXPECT_THROW(memory.read<std::uint64_t>(~0ull - 2), MemoryFault);
+  EXPECT_THROW((void)memory.read<std::uint64_t>(~0ull - 2), MemoryFault);
 }
 
 }  // namespace
