@@ -348,6 +348,44 @@ TEST(Resilience, ResumeReusesEveryCompletedCell) {
   fs::remove_all(dir);
 }
 
+TEST(Resilience, ResumeRerunsCellsWhoseModuleChanged) {
+  const fs::path dir = freshTempDir();
+  const std::string journal = (dir / "run.jsonl").string();
+  std::vector<workloads::WorkloadSpec> suite;
+  suite.push_back({"stream-a", workloads::makeStream({.n = 64, .reps = 1})});
+  suite.push_back({"stream-b", workloads::makeStream({.n = 200, .reps = 2})});
+  const std::vector<Config> configs = gcc12Pair();
+
+  EngineOptions options;
+  options.jobs = 2;
+  options.journalPath = journal;
+  ExperimentEngine first(options);
+  const GridResult fresh = first.runGrid(suite, configs);
+  ASSERT_EQ(fresh.cells.size(), 4u);
+  EXPECT_FALSE(fresh.anyFailed());
+
+  // Same name, same grid identity, different kernel: only the compile
+  // fingerprint in each journal entry tells the old cells apart.
+  suite[1].module = workloads::makeStream({.n = 96, .reps = 2});
+  EngineOptions resumeOptions = options;
+  resumeOptions.resumeFrom = journal;
+  ExperimentEngine second(resumeOptions);
+  const GridResult resumed = second.runGrid(suite, configs);
+
+  EXPECT_EQ(second.stats().resumed, 2u);
+  EXPECT_EQ(second.stats().simulations, 2u);
+  ASSERT_EQ(resumed.cells.size(), 4u);
+  EXPECT_FALSE(resumed.anyFailed());
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(cellDigest(resumed.cells[i]), cellDigest(fresh.cells[i]));
+  }
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_LT(resumed.cells[i].instructions, fresh.cells[i].instructions)
+        << "cell " << i << " was resumed from the n=200 kernel";
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Resilience, ResumeRejectsJournalFromDifferentGrid) {
   const fs::path dir = freshTempDir();
   const std::string journal = (dir / "run.jsonl").string();
