@@ -304,16 +304,24 @@ GridResult ExperimentEngine::runGrid(
   grid.cells.resize(suite.size() * configs.size());
   const std::size_t count = grid.cells.size();
 
+  const std::string journalPath =
+      options_.journalPath.empty() ? options_.resumeFrom
+                                   : options_.journalPath;
   std::vector<std::string> names(count);
   std::vector<std::string> fingerprints(count);
   for (std::size_t index = 0; index < count; ++index) {
     const std::size_t w = index / configs.size();
     const std::size_t c = index % configs.size();
     names[index] = suite[w].name + "/" + configName(configs[c]);
-    // The cache key is the full module dump; journal entries store its
-    // FNV digest instead so a 20-cell journal stays kilobytes, not MBs.
-    fingerprints[index] = digestHex(fnv1a64(CompileCache::fingerprint(
-        suite[w].module, configs[c].arch, configs[c].era)));
+    // Only the journal reads these: the cache key is the full module dump,
+    // and journal entries store its FNV digest instead so a 20-cell
+    // journal stays kilobytes, not MBs. Rendering and hashing a module
+    // costs more than serving its cell from the result store, so a run
+    // without a journal leaves them empty.
+    if (!journalPath.empty()) {
+      fingerprints[index] = digestHex(fnv1a64(CompileCache::fingerprint(
+          suite[w].module, configs[c].arch, configs[c].era)));
+    }
   }
 
   const JournalHeader header = gridHeader(suite, configs, options_);
@@ -360,9 +368,6 @@ GridResult ExperimentEngine::runGrid(
     }
   }
 
-  const std::string journalPath =
-      options_.journalPath.empty() ? options_.resumeFrom
-                                   : options_.journalPath;
   std::unique_ptr<RunJournal> journal;
   if (!journalPath.empty()) {
     journal = std::make_unique<RunJournal>(journalPath, header);
