@@ -78,6 +78,10 @@ class JsonValue {
   static std::optional<JsonValue> tryParse(const std::string& text);
 
  private:
+  /// dump()'s recursion: appends this value to `out`, so a whole document
+  /// is written into one buffer.
+  void dumpTo(std::string& out) const;
+
   Kind kind_;
   bool boolean_ = false;
   std::uint64_t uint_ = 0;
