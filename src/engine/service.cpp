@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -442,11 +443,15 @@ namespace {
 
 /// How long poll(2) sleeps with nothing to do. Replies wake the loop
 /// through the worker's pipe and signals interrupt it, so this only bounds
-/// how late a stop flag set without a signal is noticed.
+/// how late a stop flag set without a signal, or a request deadline, is
+/// noticed.
 constexpr int kIdlePollMs = 200;
+
+using Clock = std::chrono::steady_clock;
 
 struct Conn {
   int fd = -1;
+  Clock::time_point deadline;  ///< the request line must be complete by now
   std::string in;
   bool complete = false;  ///< `in` holds one full request line (or too much)
   bool queued = false;    ///< waiting for the grid worker's reply `ticket`
@@ -561,6 +566,20 @@ int serveUnixSocket(SimService& service, const std::string& socketPath,
         draining = true;  // stop accepting; answer what is already read
       }
 
+      // A connection that has not completed its request line by its
+      // deadline is refused, which frees its slot. Connections waiting on
+      // the grid worker, or being answered, already have a complete line.
+      const Clock::time_point now = Clock::now();
+      for (Conn& conn : conns) {
+        if (conn.complete || now < conn.deadline) continue;
+        conn.complete = true;
+        conn.in = std::string();
+        answer(conn, service.reject(
+                         "deadline", "no complete request line within " +
+                                         std::to_string(kRequestDeadlineMs) +
+                                         " ms of connecting"));
+      }
+
       bool pending = false;  // a reply still owed or not yet fully sent
       std::vector<pollfd> fds;
       fds.push_back(pollfd{worker->wakeFd(), POLLIN, 0});
@@ -656,6 +675,8 @@ int serveUnixSocket(SimService& service, const std::string& socketPath,
           }
           Conn conn;
           conn.fd = fd;
+          conn.deadline =
+              Clock::now() + std::chrono::milliseconds(kRequestDeadlineMs);
           conns.push_back(std::move(conn));
         }
       }

@@ -38,9 +38,10 @@
 // most one simulation per cell.
 //
 // Inputs are bounded: a request line over kMaxRequestBytes, a connection
-// beyond kMaxConnections, a spec whose scale exceeds kMaxRemoteScale and a
-// spec whose config_dir is not the daemon's own configs directory each get
-// a typed error reply and count in `errors`. Resolved specs are memoized
+// beyond kMaxConnections, a connection that has not sent its request line
+// kRequestDeadlineMs after accept, a spec whose scale exceeds
+// kMaxRemoteScale and a spec whose config_dir is not the daemon's own
+// configs directory each get a typed error reply and count in `errors`. Resolved specs are memoized
 // (a few entries, least recently used evicted), so the daemon reads a
 // spec's core-model files once per memo entry, not once per request.
 #pragma once
@@ -72,6 +73,8 @@ struct ResolvedGrid;
 inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 /// Open client connections the socket transport holds at once.
 inline constexpr std::size_t kMaxConnections = 64;
+/// How long, from accept, a connection has to send its request line.
+inline constexpr unsigned kRequestDeadlineMs = 2000;
 /// Largest workload scale a daemon grid may ask for (4x the benches' default).
 inline constexpr double kMaxRemoteScale = 4.0;
 

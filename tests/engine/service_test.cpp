@@ -460,6 +460,36 @@ TEST(SimService, BoundedInputsGetTypedErrors) {
   EXPECT_EQ(daemon.request(gridRequest(own)).at("type").asString(), "grid");
 }
 
+TEST(SimService, IdleConnectionsExpire) {
+  LiveDaemon daemon("idle");
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::unique_ptr<RawClient>> held;
+  for (std::size_t i = 0; i < kMaxConnections; ++i) {
+    held.push_back(std::make_unique<RawClient>(daemon.socket()));
+    ASSERT_TRUE(held.back()->connected());
+  }
+  // Half a request line does not count as a request.
+  ASSERT_TRUE(held.front()->send(R"({"type":)"));
+
+  // While every slot is held, the daemon refuses new clients...
+  expectTypedError(daemon.request(R"({"type":"ping"})"), "RequestError",
+                   "connections");
+  // ...until the held connections pass their deadline and are refused.
+  support::JsonValue reply;
+  for (int i = 0; i < 600; ++i) {
+    reply = daemon.request(R"({"type":"ping"})");
+    if (reply.at("type").asString() == "pong") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(reply.at("type").asString(), "pong") << reply.dump();
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kRequestDeadlineMs));
+  for (const std::unique_ptr<RawClient>& client : held) {
+    expectTypedError(support::JsonValue::parse(client->readLine()),
+                     "RequestError", "deadline");
+  }
+}
+
 TEST(SimService, ClientsThatHangUpEarlyDoNotStallTheDaemon) {
   LiveDaemon daemon("hangup");
   // Each client sends a complete request and closes before its reply.
