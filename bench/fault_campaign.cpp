@@ -16,14 +16,13 @@
 //        --budget=N        instruction budget per corrupted run
 //
 // Exit code is non-zero if any outcome escapes the fault taxonomy.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
 #include "kgen/compile.hpp"
+#include "support/read_file.hpp"
 #include "uarch/core_model.hpp"
 #include "verify/differential.hpp"
 #include "workloads/workloads.hpp"
@@ -105,15 +104,14 @@ int main(int argc, char** argv) {
 
   {
     const std::string path = uarch::configDir() + "/tx2.yaml";
-    std::ifstream in(path);
-    if (!in) {
+    bool opened = false;
+    const std::string text = support::readWholeFile(path, &opened);
+    if (!opened) {
       std::cerr << "cannot open " << path << "\n";
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     const auto stats = verify::configCampaign(
-        buffer.str(), seed, static_cast<int>(configRounds));
+        text, seed, static_cast<int>(configRounds));
     std::cout << "\nconfig campaign (" << configRounds
               << " corrupted variants of tx2.yaml):\n  " << stats.summary()
               << "\n";

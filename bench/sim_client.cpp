@@ -12,14 +12,13 @@
 // Report benches do not need this tool to use the daemon — they take
 // --via=socket:<path> directly — but scripts use it to probe, drive, and
 // stop daemons, and --grid lets a saved GridSpec run without any bench.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "engine/grid_spec.hpp"
 #include "engine/service.hpp"
 #include "harness.hpp"
+#include "support/read_file.hpp"
 
 using namespace riscmp;
 using namespace riscmp::bench;
@@ -60,18 +59,17 @@ int main(int argc, char** argv) {
   } else if (shutdown) {
     request.set("type", support::JsonValue("shutdown"));
   } else {
-    std::ifstream in(gridPath, std::ios::binary);
-    if (!in) {
+    bool opened = false;
+    const std::string text = support::readWholeFile(gridPath, &opened);
+    if (!opened) {
       std::cerr << "error: cannot read " << gridPath << "\n";
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     try {
       // Parse through GridSpec so a malformed spec fails here, with a
       // provenance message, instead of as an opaque daemon error.
       const engine::GridSpec spec =
-          engine::gridSpecFromJson(support::JsonValue::parse(buffer.str()));
+          engine::gridSpecFromJson(support::JsonValue::parse(text));
       request.set("type", support::JsonValue("grid"));
       request.set("spec", engine::gridSpecToJson(spec));
     } catch (const Fault& fault) {

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -10,18 +9,11 @@
 #include "engine/cell_codec.hpp"
 #include "engine/compile_cache.hpp"
 #include "support/fault.hpp"
+#include "support/read_file.hpp"
 
 namespace riscmp::engine {
 
 namespace {
-
-std::string readWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 support::JsonValue uintArray(const auto& values) {
   support::JsonValue array = support::JsonValue::array();
@@ -190,7 +182,7 @@ void loadModel(const std::string& dir, const std::string& name, bool throughput,
                std::string& error, std::uint64_t& digest) {
   if (name.empty()) return;
   const std::string path = dir + "/" + name + ".yaml";
-  digest = fnv1a64(readWholeFile(path));
+  digest = fnv1a64(support::readWholeFile(path));
   try {
     model = uarch::CoreModel::fromFile(path);
     if (throughput) throughputModel = model->throughputModel();

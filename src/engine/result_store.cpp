@@ -2,14 +2,13 @@
 
 #include <sys/stat.h>
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "engine/cell_codec.hpp"
 #include "support/atomic_file.hpp"
 #include "support/fault.hpp"
 #include "support/json_lite.hpp"
+#include "support/read_file.hpp"
 
 namespace riscmp::engine {
 
@@ -31,14 +30,6 @@ void makeDirs(const std::string& path) {
   }
 }
 
-std::string readWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 }  // namespace
 
 ResultStore::ResultStore(std::string root) : root_(std::move(root)) {}
@@ -50,7 +41,7 @@ std::string ResultStore::cellPath(const std::string& key) const {
 }
 
 std::optional<CellResult> ResultStore::load(const std::string& key) {
-  const std::string text = readWholeFile(cellPath(key));
+  const std::string text = support::readWholeFile(cellPath(key));
   if (text.empty()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;

@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
-#include <sstream>
+
+#include "support/read_file.hpp"
 
 namespace riscmp::yaml {
 namespace {
@@ -352,12 +352,11 @@ Node parse(std::string_view text) {
 }
 
 Node parseFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open file", path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  bool opened = false;
+  const std::string text = support::readWholeFile(path, &opened);
+  if (!opened) throw ConfigError("cannot open file", path);
   try {
-    return parse(buffer.str());
+    return parse(text);
   } catch (const ConfigError& e) {
     throw e.withFile(path);
   }
