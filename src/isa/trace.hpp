@@ -92,9 +92,11 @@ class TraceBlock {
   }
   void commit() { ++size_; }
 
-  [[nodiscard]] bool full() const { return size_ == records_.size(); }
+  [[nodiscard]] bool full() const { return size_ == kTraceBlockCapacity; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Records that still fit before the block is full.
+  [[nodiscard]] std::size_t room() const { return kTraceBlockCapacity - size_; }
   [[nodiscard]] std::span<const RetiredInst> view() const {
     return {records_.data(), size_};
   }
