@@ -22,7 +22,9 @@ namespace riscmp {
 struct MachineOptions {
   /// Simulated memory size. Grown automatically to cover the program image
   /// plus stack if too small, so the default only matters for programs that
-  /// address memory beyond their static image.
+  /// address memory beyond their static image. The arena is mapped, not
+  /// filled: only the pages the program image and the run write cost
+  /// memory.
   std::uint64_t memorySize = 4ull << 20;
   /// Abort after this many instructions (0 = unlimited).
   std::uint64_t maxInstructions = 0;
