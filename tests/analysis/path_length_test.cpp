@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "analysis/path_length.hpp"
 #include "core/machine.hpp"
@@ -30,6 +33,35 @@ TEST(PathLength, AttributesPerKernelRegion) {
   EXPECT_EQ(counter.kernelCount("scale"), 1u);
   EXPECT_EQ(counter.kernelCount("bogus"), 0u);
   EXPECT_EQ(counter.unattributed(), 1u);
+}
+
+TEST(PathLength, OneBlockCountsRunsAcrossKernels) {
+  Program program;
+  program.kernels = {{"copy", 0x1000, 0x10}, {"scale", 0x1010, 0x10}};
+  PathLengthCounter counter(program);
+
+  // Runs of one kernel begin and end mid-block, a kernel comes back after
+  // another, and unattributed records open and close the block.
+  const std::uint64_t pcs[] = {0x2000, 0x1000, 0x1004, 0x1010, 0x1000,
+                               0x2000, 0x2004, 0x1014, 0x1018, 0x2000};
+  const InstGroup groups[] = {InstGroup::Branch, InstGroup::FpMul,
+                              InstGroup::Branch};
+  std::vector<RetiredInst> block;
+  for (std::size_t i = 0; i < std::size(pcs); ++i) {
+    RetiredInst inst;
+    inst.pc = pcs[i];
+    inst.group = groups[i % std::size(groups)];
+    block.push_back(inst);
+  }
+  counter.onRetireBlock(block);
+  counter.onRetireBlock(std::span<const RetiredInst>(block).first(3));
+
+  EXPECT_EQ(counter.total(), 13u);
+  EXPECT_EQ(counter.kernelCount("copy"), 3u + 2u);
+  EXPECT_EQ(counter.kernelCount("scale"), 3u);
+  EXPECT_EQ(counter.unattributed(), 4u + 1u);
+  EXPECT_EQ(counter.branchCount(), 7u + 2u);
+  EXPECT_EQ(counter.groupCount(InstGroup::FpMul), 3u + 1u);
 }
 
 TEST(PathLength, OverlappingKernelRegionsRejectedAtConstruction) {
