@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/dependencies.hpp"
+#include "support/recycled_vector.hpp"
 
 namespace riscmp {
 
@@ -60,7 +61,8 @@ class CriticalPathAnalyzer final
   template <std::size_t>
   friend class CriticalPathSink;
 
-  std::vector<std::array<std::uint64_t, 1>> depth_;  ///< chain depth per slot
+  /// Chain depth per slot.
+  RecycledVector<std::array<std::uint64_t, 1>> depth_;
   CostTable costs_;
   std::uint64_t maxDepth_ = 0;
   std::uint64_t instructions_ = 0;
@@ -79,7 +81,7 @@ class CriticalPathSink : public ResolverSink {
   /// One analyzer alone, over its own depth array.
   explicit CriticalPathSink(CriticalPathAnalyzer& analyzer)
     requires(kLanes == 1)
-      : CriticalPathSink({&analyzer}, analyzer.depth_) {}
+      : CriticalPathSink({&analyzer}, *analyzer.depth_) {}
   /// `depth` holds the lanes' depth per slot and persists between blocks.
   CriticalPathSink(const std::array<CriticalPathAnalyzer*, kLanes>& lanes,
                    std::vector<Depths>& depth)

@@ -107,7 +107,7 @@ DependencyFrontEnd::DependencyFrontEnd(const DependencyConsumers& consumers)
 template <typename Chains, typename Windowed, bool kProducers>
 [[gnu::flatten]] void DependencyFrontEnd::walk(
     std::span<const RetiredInst> block) {
-  FanOut<Chains, Windowed, kProducers> sinks(consumers_, pairedDepth_);
+  FanOut<Chains, Windowed, kProducers> sinks(consumers_, *pairedDepth_);
   resolver_.resolveInto(block, sinks);
   sinks.finish();
 }

@@ -37,6 +37,7 @@
 
 #include "isa/trace.hpp"
 #include "support/flat_hash.hpp"
+#include "support/recycled_vector.hpp"
 
 namespace riscmp {
 
@@ -123,7 +124,7 @@ class DependencyResolver {
   std::uint32_t allocatePage(std::uint64_t page);
 
   /// Latest writer per slot, sized only by walks that report producers.
-  std::vector<std::uint64_t> writer_;
+  RecycledVector<std::uint64_t> writer_;
   FlatHashMap64<std::uint32_t> pageSlots_;  ///< page -> its first slot
   std::uint32_t slots_ = Reg::kDenseCount;
   std::uint64_t retired_ = 0;
@@ -133,9 +134,9 @@ template <typename Sink>
 void DependencyResolver::resolveInto(std::span<const RetiredInst> block,
                                      Sink& sink) {
   if constexpr (Sink::kProducers) {
-    if (writer_.size() < slots_) writer_.resize(slots_, kNoWriter);
+    if (writer_->size() < slots_) writer_->resize(slots_, kNoWriter);
   }
-  std::uint64_t* writer = writer_.data();
+  std::uint64_t* writer = writer_->data();
   sink.slotsGrew(slots_);
   std::uint64_t index = retired_;
   for (const RetiredInst& inst : block) {
@@ -178,8 +179,8 @@ void DependencyResolver::resolveInto(std::span<const RetiredInst> block,
         } else {
           first = allocatePage(pageId);
           if constexpr (Sink::kProducers) {
-            writer_.resize(slots_, kNoWriter);
-            writer = writer_.data();
+            writer_->resize(slots_, kNoWriter);
+            writer = writer_->data();
           }
           sink.slotsGrew(slots_);
         }
@@ -264,7 +265,7 @@ class DependencyFrontEnd final : public TraceObserver {
   DependencyResolver resolver_;
   DependencyConsumers consumers_;
   /// {CP, scaled CP} depth per slot, when both run.
-  std::vector<std::array<std::uint64_t, 2>> pairedDepth_;
+  RecycledVector<std::array<std::uint64_t, 2>> pairedDepth_;
 };
 
 }  // namespace riscmp

@@ -85,6 +85,22 @@ TEST(CriticalPath, DisjointMemoryDoesNotChain) {
   EXPECT_EQ(analyzer.criticalPath(), 2u);
 }
 
+TEST(CriticalPath, ANewAnalyzerStartsWithNoChains) {
+  // The next analyzer on this thread takes over the depth table of the one
+  // destroyed here; none of its depths may carry over.
+  {
+    CriticalPathAnalyzer deep;
+    for (int i = 0; i < 20; ++i) deep.onRetire(alu({1}, 1));
+    deep.onRetire(store(2, 1, 0x100));
+    EXPECT_EQ(deep.criticalPath(), 21u);
+  }
+  CriticalPathAnalyzer fresh;
+  fresh.onRetire(alu({1}, 3));            // r1 was never written here
+  fresh.onRetire(store(2, 4, 0x108));     // gives 0x100's page its slots
+  fresh.onRetire(load(2, 0x100, 5));      // a chunk nothing stored to
+  EXPECT_EQ(fresh.criticalPath(), 1u);
+}
+
 TEST(CriticalPath, ZeroRegisterBreaksChains) {
   // Executors omit x0/xzr from srcs, so a "li" via the zero register starts
   // a fresh chain even after deep computation.
