@@ -31,60 +31,19 @@ using verify::conformance::CampaignOptions;
 using verify::conformance::CampaignResult;
 using verify::conformance::KernelOutcome;
 
-namespace {
-
-std::uint64_t flagValue(int argc, char** argv, const std::string& name,
-                        std::uint64_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return parseFlagValue("--" + name, arg.substr(prefix.size()),
-                            [](const std::string& s, std::size_t* consumed) {
-                              return std::stoull(s, consumed);
-                            });
-    }
-  }
-  return fallback;
-}
-
-bool hasFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-std::string stringFlag(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return {};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  requireKnownFlagsExact(argc, argv,
-                         {"--seed=", "--count=", "--jobs=", "--budget=",
-                          "--digest-file=", "--no-shrink", "--fusion"});
-
+  Flags flags(argc, argv);
   CampaignOptions options;
-  options.seed = flagValue(argc, argv, "seed", options.seed);
-  const std::uint64_t count =
-      flagValue(argc, argv, "count", static_cast<std::uint64_t>(options.count));
-  if (count == 0) {
-    std::cerr << "error: --count must be a positive kernel count\n";
-    return 2;
-  }
-  options.count = static_cast<int>(count);
-  options.jobs = parseJobs(argc, argv);
-  options.budget = parseBudget(argc, argv);
-  options.shrink = !hasFlag(argc, argv, "--no-shrink");
-  options.fusion = hasFlag(argc, argv, "--fusion");
-  const std::string digestFile = stringFlag(argc, argv, "digest-file");
+  options.seed = flags.number("seed", options.seed);
+  options.count = flags.number(
+      "count", options.count, [](int n) { return n > 0; },
+      "a positive kernel count");
+  options.jobs = jobsFlag(flags);
+  options.budget = flags.number("budget", kDefaultInstructionBudget);
+  options.shrink = !flags.isSet("no-shrink");
+  options.fusion = flags.isSet("fusion");
+  const std::string digestFile = flags.text("digest-file").value_or("");
+  flags.finish();
 
   std::cout << "Conformance campaign: " << options.count
             << " kernels from seed " << options.seed

@@ -13,8 +13,9 @@ using namespace riscmp;
 using namespace riscmp::bench;
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
+  spec.scale = scaleFlag(flags);
   spec.configs = {{Arch::AArch64, kgen::CompilerEra::Gcc12},
                   {Arch::Rv64, kgen::CompilerEra::Gcc12}};
   spec.analyses = engine::kPathLength;
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
                              InstGroup::FpFma,     InstGroup::FpDiv,
                              InstGroup::FpSqrt,    InstGroup::FpSimple};
 
-  const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
   const auto& suite = shape.suite;

@@ -62,7 +62,9 @@ Module stencilProbe(std::int64_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  requireKnownFlags(argc, argv, {});
+  Flags flags(argc, argv);
+  const engine::EngineOptions options = engineOptions(flags);
+  flags.finish();
   const auto configs = paperConfigs();
   verify::FaultBoundary boundary(std::cout);
 
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
   };
   constexpr std::size_t kProbeCount = std::size(probes);
 
-  engine::ExperimentEngine eng(engineOptions(argc, argv));
+  engine::ExperimentEngine eng(options);
 
   // One cell per probe×config; the per-iteration cost comes from two run
   // lengths, both compiled through the engine's cache and simulated on the

@@ -287,16 +287,17 @@ void writeCellJson(std::ostream& out, const engine::CellResult& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
-  spec.configDir = parseConfigDir(argc, argv, uarch::configDir());
+  spec.scale = scaleFlag(flags);
+  spec.configDir = flags.text("config-dir").value_or(uarch::configDir());
   spec.analyses = engine::kScaledCP | engine::kCacheModel |
                   engine::kThroughputBound | engine::kMemSystem;
   spec.modelA64 = "tx2";
   spec.modelRv64 = "riscv-tx2";
   spec.requireModels = true;  // no model / no caches: section fails the cell
   const std::optional<std::string> jsonPath =
-      parseJsonPath(argc, argv, "BENCH_mem.json");
+      flags.textOrBare("json", "BENCH_mem.json");
   const double scale = spec.scale;
   verify::FaultBoundary boundary(std::cout);
 
@@ -332,8 +333,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  const GridRun run = runGridSpec(
-      spec, argc, argv, {"--scale=", "--config-dir=", "--json", "--json="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
   const auto& suite = shape.suite;

@@ -50,8 +50,10 @@ struct OooCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  requireKnownFlags(argc, argv, {"--scale="});
-  const double scale = parseScale(argc, argv);
+  Flags flags(argc, argv);
+  const double scale = scaleFlag(flags);
+  const engine::EngineOptions options = engineOptions(flags);
+  flags.finish();
   const auto suite = workloads::paperSuite(scale);
   const auto configs = paperConfigs();
   verify::FaultBoundary boundary(std::cout);
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  engine::ExperimentEngine eng(engineOptions(argc, argv));
+  engine::ExperimentEngine eng(options);
 
   // One raw job per workload×config cell; each simulates once with every
   // loaded model's OoO core attached and writes only its own slot.

@@ -92,15 +92,16 @@ void writeCellJson(std::ostream& out, const engine::CellResult& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
-  spec.configDir = parseConfigDir(argc, argv, uarch::configDir());
+  spec.scale = scaleFlag(flags);
+  spec.configDir = flags.text("config-dir").value_or(uarch::configDir());
   spec.analyses = engine::kScaledCP | engine::kThroughputBound;
   spec.modelA64 = "tx2";
   spec.modelRv64 = "riscv-tx2";
   spec.requireModels = true;  // a broken model fails its cells, loudly
   const std::optional<std::string> jsonPath =
-      parseJsonPath(argc, argv, "BENCH_throughput_bound.json");
+      flags.textOrBare("json", "BENCH_throughput_bound.json");
   const double scale = spec.scale;
   verify::FaultBoundary boundary(std::cout);
 
@@ -145,8 +146,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  const GridRun run = runGridSpec(
-      spec, argc, argv, {"--scale=", "--config-dir=", "--json", "--json="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
   const auto& suite = shape.suite;

@@ -40,8 +40,10 @@ struct AblationCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  requireKnownFlags(argc, argv, {"--scale="});
-  const double scale = parseScale(argc, argv);
+  Flags flags(argc, argv);
+  const double scale = scaleFlag(flags);
+  const engine::EngineOptions options = engineOptions(flags);
+  flags.finish();
   const kgen::Module stream =
       workloads::makeStream({.n = static_cast<std::int64_t>(10000 * scale),
                              .reps = 4});
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
   const std::array<std::pair<unsigned, unsigned>, 4> slideFractions = {
       {{1, 8}, {1, 4}, {1, 2}, {1, 1}}};
 
-  engine::ExperimentEngine eng(engineOptions(argc, argv));
+  engine::ExperimentEngine eng(options);
 
   std::vector<AblationCell> cells(configs.size());
   std::vector<engine::ExperimentEngine::RawJob> jobs;

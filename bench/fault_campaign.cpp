@@ -32,21 +32,6 @@ using namespace riscmp::bench;
 
 namespace {
 
-std::uint64_t flagValue(int argc, char** argv, const std::string& name,
-                        std::uint64_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return parseFlagValue("--" + name, arg.substr(prefix.size()),
-                            [](const std::string& s, std::size_t* consumed) {
-                              return std::stoull(s, consumed);
-                            });
-    }
-  }
-  return fallback;
-}
-
 /// Corpus of valid words for one ISA: the STREAM kernels under both eras.
 std::vector<std::uint32_t> corpusFor(Arch arch) {
   const kgen::Module stream = workloads::makeStream({.n = 256, .reps = 1});
@@ -62,16 +47,14 @@ std::vector<std::uint32_t> corpusFor(Arch arch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  requireKnownFlagsExact(argc, argv,
-                         {"--seed=", "--rounds=", "--exec-rounds=",
-                          "--config-rounds=", "--budget="});
-  const std::uint64_t seed = flagValue(argc, argv, "seed", 42);
-  const std::uint64_t rounds = flagValue(argc, argv, "rounds", 10000);
-  const std::uint64_t execRounds = flagValue(argc, argv, "exec-rounds", 25);
-  const std::uint64_t configRounds =
-      flagValue(argc, argv, "config-rounds", 200);
+  Flags flags(argc, argv);
+  const auto seed = flags.number<std::uint64_t>("seed", 42);
+  const auto rounds = flags.number<std::uint64_t>("rounds", 10000);
+  const int execRounds = flags.number("exec-rounds", 25);
+  const int configRounds = flags.number("config-rounds", 200);
   const std::uint64_t budget =
-      flagValue(argc, argv, "budget", kDefaultInstructionBudget);
+      flags.number("budget", kDefaultInstructionBudget);
+  flags.finish();
 
   bool classified = true;
 
@@ -91,8 +74,7 @@ int main(int argc, char** argv) {
 
   {
     const kgen::Module stream = workloads::makeStream({.n = 64, .reps = 1});
-    const auto stats = verify::execCampaign(
-        stream, seed, static_cast<int>(execRounds), budget);
+    const auto stats = verify::execCampaign(stream, seed, execRounds, budget);
     std::cout << "\nexec campaign (" << execRounds
               << " corrupted programs per ISA x era):\n  " << stats.summary()
               << "\n";
@@ -110,8 +92,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << path << "\n";
       return 1;
     }
-    const auto stats = verify::configCampaign(
-        text, seed, static_cast<int>(configRounds));
+    const auto stats = verify::configCampaign(text, seed, configRounds);
     std::cout << "\nconfig campaign (" << configRounds
               << " corrupted variants of tx2.yaml):\n  " << stats.summary()
               << "\n";

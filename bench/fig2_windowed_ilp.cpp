@@ -17,13 +17,14 @@ using namespace riscmp;
 using namespace riscmp::bench;
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
+  spec.scale = scaleFlag(flags);
   spec.configs = {{Arch::AArch64, kgen::CompilerEra::Gcc12},
                   {Arch::Rv64, kgen::CompilerEra::Gcc12}};
   spec.analyses = engine::kWindowedCP;
   spec.windowSizes = WindowedCPAnalyzer::paperWindowSizes();
-  const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
 

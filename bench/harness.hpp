@@ -1,13 +1,18 @@
-// Shared flag parsing for the per-table/figure bench binaries.
+// Shared command-line surface of the per-table/figure bench binaries.
 //
-// Simulation itself lives in the parallel experiment engine (src/engine,
-// ISSUE 2): every workload × era × ISA cell is compiled at most once,
-// simulated exactly once on a worker pool (--jobs=N), and all enabled
-// analyses observe that single pass. The benches here are pure report
+// Simulation itself lives in the parallel experiment engine (src/engine):
+// every workload × era × ISA cell is compiled at most once, simulated
+// exactly once on a worker pool (--jobs=N), and all enabled analyses
+// observe that single pass. The benches here are pure report
 // generators over engine::CellResults; each cell still runs inside a
 // verify::FaultBoundary so one failing cell prints its FaultReport and the
 // run continues, and every simulated program runs under an instruction
 // budget (--budget=N) so a codegen regression cannot hang CI.
+//
+// Flags are read through one Flags table (flags.hpp): this header declares
+// the flags several binaries share (--scale, --jobs, the engine set, and
+// --via/--store in runGridSpec), each binary reads its own beside them,
+// and one Flags::finish() after the last read rejects the rest.
 #pragma once
 
 #include <chrono>
@@ -15,16 +20,15 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
+#include "flags.hpp"
 #include "engine/cell_codec.hpp"
 #include "engine/engine.hpp"
 #include "engine/grid_spec.hpp"
@@ -42,206 +46,22 @@ using engine::configName;
 using engine::kDefaultInstructionBudget;
 using engine::paperConfigs;
 
-/// A malformed numeric flag is a usage error, not an engine fault: print a
-/// one-line diagnostic and exit(2) instead of letting std::stod/stoull
-/// terminate the process with an unclassified exception.
-template <typename Parse>
-auto parseFlagValue(const std::string& flag, const std::string& value,
-                    Parse parse) {
-  try {
-    std::size_t consumed = 0;
-    const auto parsed = parse(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    std::cerr << "error: invalid value for " << flag << ": '" << value
-              << "'\n";
-    std::exit(2);
-  }
+/// "--scale=F": workload size factor (default 1.0). Zero, negative and
+/// non-finite scales produce degenerate or empty workloads whose ratios
+/// are nonsense.
+inline double scaleFlag(Flags& flags) {
+  return flags.number(
+      "scale", 1.0, [](double s) { return std::isfinite(s) && s > 0.0; },
+      "a positive number");
 }
 
-/// Parse a "--scale=<x>" argument (defaults to 1.0). Zero, negative, and
-/// non-finite scales produce degenerate or empty workloads whose ratios are
-/// nonsense, so they take the same exit-2 usage-error path as a malformed
-/// number.
-inline double parseScale(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      const double scale =
-          parseFlagValue("--scale", arg.substr(8),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stod(s, consumed);
-                         });
-      if (!std::isfinite(scale) || scale <= 0.0) {
-        std::cerr << "error: --scale must be a positive number, got '"
-                  << arg.substr(8) << "'\n";
-        std::exit(2);
-      }
-      return scale;
-    }
-  }
-  return 1.0;
-}
-
-/// Parse a "--jobs=<n>" argument: engine worker threads. Defaults to 0,
-/// which the engine resolves to hardware_concurrency; an explicit 0 is a
-/// usage error (a pool of zero workers can run nothing).
-inline unsigned parseJobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      const unsigned long jobs =
-          parseFlagValue("--jobs", arg.substr(7),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      if (jobs == 0) {
-        std::cerr << "error: --jobs must be a positive worker count\n";
-        std::exit(2);
-      }
-      return static_cast<unsigned>(jobs);
-    }
-  }
-  return 0;
-}
-
-/// Parse a "--budget=<n>" argument: per-cell instruction budget
-/// (0 = unlimited; defaults to kDefaultInstructionBudget).
-inline std::uint64_t parseBudget(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--budget=", 0) == 0) {
-      return parseFlagValue("--budget", arg.substr(9),
-                            [](const std::string& s, std::size_t* consumed) {
-                              return std::stoull(s, consumed);
-                            });
-    }
-  }
-  return kDefaultInstructionBudget;
-}
-
-/// Parse a "--config-dir=<path>" argument: directory core-model YAML files
-/// are loaded from (defaults to the repository configs/ directory). Lets a
-/// run point at alternate or deliberately broken models.
-inline std::string parseConfigDir(int argc, char** argv,
-                                  const std::string& fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--config-dir=", 0) == 0) return arg.substr(13);
-  }
-  return fallback;
-}
-
-/// Parse "--deadline=<seconds>": per-cell wall-clock deadline (fractional
-/// seconds allowed; 0/absent = none). Negative or non-finite deadlines are
-/// usage errors.
-inline double parseDeadline(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--deadline=", 0) == 0) {
-      const double seconds =
-          parseFlagValue("--deadline", arg.substr(11),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stod(s, consumed);
-                         });
-      if (!std::isfinite(seconds) || seconds < 0.0) {
-        std::cerr << "error: --deadline must be a non-negative number of "
-                     "seconds, got '"
-                  << arg.substr(11) << "'\n";
-        std::exit(2);
-      }
-      return seconds;
-    }
-  }
-  return 0.0;
-}
-
-/// Parse "--retries=<n>": extra attempts for transient cell failures
-/// (timeouts; worker crashes under --isolate=process). Defaults to 0.
-inline unsigned parseRetries(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--retries=", 0) == 0) {
-      const unsigned long retries =
-          parseFlagValue("--retries", arg.substr(10),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      return static_cast<unsigned>(retries);
-    }
-  }
-  return 0;
-}
-
-/// Parse "--retry-backoff-ms=<n>": retry backoff base (doubles per
-/// attempt, plus seeded jitter). Defaults to 100; 0 disables the wait,
-/// which the crash-recovery tests use to keep retries fast.
-inline unsigned parseRetryBackoffMs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--retry-backoff-ms=", 0) == 0) {
-      const unsigned long ms =
-          parseFlagValue("--retry-backoff-ms", arg.substr(19),
-                         [](const std::string& s, std::size_t* consumed) {
-                           return std::stoul(s, consumed);
-                         });
-      return static_cast<unsigned>(ms);
-    }
-  }
-  return 100;
-}
-
-/// Parse "--isolate=<thread|process>": where cells execute. Thread is the
-/// default; process forks one worker subprocess per cell so crashes and
-/// hangs are contained as CrashFault/TimeoutFault records.
-inline engine::IsolationMode parseIsolate(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--isolate=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "thread") return engine::IsolationMode::Thread;
-      if (mode == "process") return engine::IsolationMode::Process;
-      std::cerr << "error: --isolate must be 'thread' or 'process', got '"
-                << mode << "'\n";
-      std::exit(2);
-    }
-  }
-  return engine::IsolationMode::Thread;
-}
-
-/// Parse "--journal=<path>" / "--resume=<path>" (empty when absent). An
-/// empty path after '=' is a usage error — it would silently disable the
-/// durability the caller asked for.
-inline std::string parsePathFlag(int argc, char** argv,
-                                 const std::string& flag) {
-  const std::string prefix = flag + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      const std::string path = arg.substr(prefix.size());
-      if (path.empty()) {
-        std::cerr << "error: " << flag << " needs a file path\n";
-        std::exit(2);
-      }
-      return path;
-    }
-  }
-  return {};
-}
-
-/// Parse the bare "--fail-fast" switch. "--fail-fast=<x>" is a usage
-/// error — it takes no value.
-inline bool parseFailFast(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fail-fast") return true;
-    if (arg.rfind("--fail-fast=", 0) == 0) {
-      std::cerr << "error: --fail-fast takes no value\n";
-      std::exit(2);
-    }
-  }
-  return false;
+/// "--jobs=N": worker threads. Absent means 0, which the engine resolves
+/// to hardware_concurrency; an explicit 0 is a usage error (a pool of zero
+/// workers can run nothing).
+inline unsigned jobsFlag(Flags& flags) {
+  return flags.number(
+      "jobs", 0u, [](unsigned n) { return n > 0; },
+      "a positive worker count");
 }
 
 /// Test/CI hook: "--inject-fault=<substr>:<segv|abort|hang|kill>" makes
@@ -250,42 +70,69 @@ inline bool parseFailFast(int argc, char** argv) {
 /// is inherited across fork) inside process-isolated workers too. This is
 /// how the crash-recovery tests produce a real SIGSEGV/SIGKILL/hang in an
 /// otherwise stock bench binary.
-inline void applyFaultInjection(int argc, char** argv,
-                                engine::EngineOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--inject-fault=", 0) != 0) continue;
-    const std::string spec = arg.substr(15);
-    const std::size_t colon = spec.rfind(':');
-    const std::string substr =
-        colon == std::string::npos ? "" : spec.substr(0, colon);
-    const std::string mode =
-        colon == std::string::npos ? "" : spec.substr(colon + 1);
-    if (substr.empty() || (mode != "segv" && mode != "abort" &&
-                           mode != "hang" && mode != "kill")) {
-      std::cerr << "error: --inject-fault needs "
-                   "<substr>:<segv|abort|hang|kill>, got '"
-                << spec << "'\n";
-      std::exit(2);
-    }
-    options.cellSetup = [substr, mode](const engine::CellKey& key) {
-      const std::string name =
-          key.workload + "/" + engine::configName(key.config);
-      if (name.find(substr) == std::string::npos) return;
-      if (mode == "segv") {
-        volatile int* p = nullptr;
-        *p = 1;  // NOLINT: deliberate SIGSEGV under test
-      } else if (mode == "abort") {
-        std::abort();
-      } else if (mode == "kill") {
-        std::raise(SIGKILL);
-      } else {  // hang: wedge outside the simulator loop, where only the
-                // process-isolation deadline can reach it
-        for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
-      }
-    };
-    return;
+inline std::function<void(const engine::CellKey&)> faultInjection(
+    const std::string& spec) {
+  const std::size_t colon = spec.rfind(':');
+  const std::string substr =
+      colon == std::string::npos ? "" : spec.substr(0, colon);
+  const std::string mode =
+      colon == std::string::npos ? "" : spec.substr(colon + 1);
+  if (substr.empty() || (mode != "segv" && mode != "abort" &&
+                         mode != "hang" && mode != "kill")) {
+    exitWithError("--inject-fault needs <substr>:<segv|abort|hang|kill>, "
+                  "got '" + spec + "'");
   }
+  return [substr, mode](const engine::CellKey& key) {
+    const std::string name =
+        key.workload + "/" + engine::configName(key.config);
+    if (name.find(substr) == std::string::npos) return;
+    if (mode == "segv") {
+      volatile int* p = nullptr;
+      *p = 1;  // NOLINT: deliberate SIGSEGV under test
+    } else if (mode == "abort") {
+      std::abort();
+    } else if (mode == "kill") {
+      std::raise(SIGKILL);
+    } else {  // hang: wedge outside the simulator loop, where only the
+              // process-isolation deadline can reach it
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    }
+  };
+}
+
+/// Baseline EngineOptions shared by the benches: jobs, budget, and the
+/// resilience flags (--deadline / --retries / --retry-backoff-ms /
+/// --isolate / --fail-fast / --journal / --resume / --inject-fault) from
+/// the command line, everything else per-bench.
+inline engine::EngineOptions engineOptions(Flags& flags) {
+  engine::EngineOptions options;
+  options.jobs = jobsFlag(flags);
+  options.budget = flags.number("budget", kDefaultInstructionBudget);
+  // Per-cell wall-clock deadline in (fractional) seconds; 0 = none.
+  options.deadlineSeconds = flags.number(
+      "deadline", 0.0, [](double s) { return std::isfinite(s) && s >= 0.0; },
+      "a non-negative number of seconds");
+  // Extra attempts for transient failures (timeouts; worker crashes under
+  // --isolate=process), with a backoff base that doubles per attempt plus
+  // seeded jitter; 0 ms disables the wait, which keeps tests fast.
+  options.retries = flags.number("retries", 0u);
+  options.retryBackoffMs = flags.number("retry-backoff-ms", 100u);
+  // Where cells execute: threads, or one forked worker per cell so crashes
+  // and hangs are contained as CrashFault/TimeoutFault records.
+  const std::string isolate = flags.text("isolate").value_or("thread");
+  if (isolate == "process") {
+    options.isolate = engine::IsolationMode::Process;
+  } else if (isolate != "thread") {
+    exitWithError("--isolate must be 'thread' or 'process', got '" +
+                  isolate + "'");
+  }
+  options.failFast = flags.isSet("fail-fast");
+  options.journalPath = flags.path("journal");
+  options.resumeFrom = flags.path("resume");
+  if (const std::optional<std::string> spec = flags.text("inject-fault")) {
+    options.cellSetup = faultInjection(*spec);
+  }
+  return options;
 }
 
 /// Table mark for a failed grid cell: "✗(CrashFault)", "✗(skipped)", ...
@@ -317,57 +164,6 @@ inline void printFailureFooter(const engine::GridResult& grid,
   out << "\n";
 }
 
-/// Baseline EngineOptions shared by the benches: jobs, budget, and the
-/// resilience flags (--deadline / --retries / --retry-backoff-ms /
-/// --isolate / --journal / --resume / --fail-fast / --inject-fault) from
-/// the command line, everything else per-bench.
-inline engine::EngineOptions engineOptions(int argc, char** argv) {
-  engine::EngineOptions options;
-  options.jobs = parseJobs(argc, argv);
-  options.budget = parseBudget(argc, argv);
-  options.deadlineSeconds = parseDeadline(argc, argv);
-  options.retries = parseRetries(argc, argv);
-  options.retryBackoffMs = parseRetryBackoffMs(argc, argv);
-  options.isolate = parseIsolate(argc, argv);
-  options.failFast = parseFailFast(argc, argv);
-  options.journalPath = parsePathFlag(argc, argv, "--journal");
-  options.resumeFrom = parsePathFlag(argc, argv, "--resume");
-  applyFaultInjection(argc, argv, options);
-  return options;
-}
-
-/// Parse "--via=local|socket:<path>": where grid cells execute. Empty
-/// string = local (the default); otherwise the simd daemon's socket path.
-inline std::string parseVia(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--via=", 0) == 0) {
-      const std::string value = arg.substr(6);
-      if (value == "local") return {};
-      if (value.rfind("socket:", 0) == 0 && value.size() > 7) {
-        return value.substr(7);
-      }
-      std::cerr << "error: --via must be 'local' or 'socket:<path>', got '"
-                << value << "'\n";
-      std::exit(2);
-    }
-  }
-  return {};
-}
-
-/// Shared "--json[=PATH]" parser (previously copied into every artifact
-/// bench): bare --json selects the bench's conventional default path.
-inline std::optional<std::string> parseJsonPath(int argc, char** argv,
-                                                const std::string&
-                                                    defaultPath) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") return defaultPath;
-    if (arg.rfind("--json=", 0) == 0) return arg.substr(7);
-  }
-  return std::nullopt;
-}
-
 /// Shared artifact writer: stage-and-rename so a killed run never leaves a
 /// truncated file, with the benches' established error/echo lines. Returns
 /// false after printing the error (callers exit 2).
@@ -383,45 +179,6 @@ inline bool writeJsonArtifact(const std::string& path,
   return true;
 }
 
-/// Reject any "--*" argument outside `known` with an exit-2 usage error (a
-/// typo'd flag must not silently run the default experiment). Entries
-/// ending in '=' are value-flag prefixes, others match exactly. Call this
-/// AFTER the specific parsers so their more precise diagnostics (e.g.
-/// "--fail-fast takes no value") win.
-inline void requireKnownFlagsExact(int argc, char** argv,
-                                   const std::vector<std::string>& known) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    bool matched = false;
-    for (const std::string& flag : known) {
-      if (!flag.empty() && flag.back() == '='
-              ? arg.rfind(flag, 0) == 0
-              : arg == flag) {
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      std::exit(2);
-    }
-  }
-}
-
-/// requireKnownFlagsExact with the engine-common flags every grid/job
-/// bench accepts (the engineOptions set) appended to `known`.
-inline void requireKnownFlags(int argc, char** argv,
-                              std::vector<std::string> known) {
-  for (const char* flag :
-       {"--jobs=", "--budget=", "--deadline=", "--retries=",
-        "--retry-backoff-ms=", "--isolate=", "--journal=", "--resume=",
-        "--fail-fast", "--inject-fault="}) {
-    known.emplace_back(flag);
-  }
-  requireKnownFlagsExact(argc, argv, known);
-}
-
 /// One executed grid, however it was executed: the cells plus the footer
 /// line the bench prints last ("engine: ..." locally, "service: ..." when
 /// a daemon ran the cells). Everything between header and footer renders
@@ -433,24 +190,25 @@ struct GridRun {
   bool viaSocket = false;
 };
 
-/// Execute `spec` per the command line: locally (default, honoring every
-/// engine execution flag plus an optional --store=DIR read/write-through
-/// result store) or via a simd daemon ("--via=socket:<path>", which owns
-/// execution policy and store). `benchFlags` lists the bench's own extra
-/// flags for the unknown-flag audit; --via/--store and the engine-common
-/// set are included automatically.
-inline GridRun runGridSpec(engine::GridSpec spec, int argc, char** argv,
-                           std::vector<std::string> benchFlags = {}) {
-  engine::EngineOptions base = engineOptions(argc, argv);
+/// Execute `spec` per the command line, then audit it (Flags::finish):
+/// locally (default, honoring every engine execution flag plus an optional
+/// --store=DIR read/write-through result store) or via a simd daemon
+/// ("--via=socket:<path>", which owns execution policy and store).
+inline GridRun runGridSpec(engine::GridSpec spec, Flags& flags) {
+  const engine::EngineOptions base = engineOptions(flags);
   // --budget is part of every cell's identity (it caps the simulated
   // stream), so it must travel inside the spec the daemon fingerprints,
   // not just in the local EngineOptions.
-  spec.budget = parseBudget(argc, argv);
-  const std::string socketPath = parseVia(argc, argv);
-  const std::string storeRoot = parsePathFlag(argc, argv, "--store");
-  benchFlags.emplace_back("--via=");
-  benchFlags.emplace_back("--store=");
-  requireKnownFlags(argc, argv, std::move(benchFlags));
+  spec.budget = base.budget;
+  const std::string via = flags.text("via").value_or("local");
+  const std::string socketPath =
+      via.starts_with("socket:") ? via.substr(7) : std::string();
+  if (via != "local" && socketPath.empty()) {
+    exitWithError("--via must be 'local' or 'socket:<path>', got '" + via +
+                  "'");
+  }
+  const std::string storeRoot = flags.path("store");
+  flags.finish();
 
   GridRun run;
   if (socketPath.empty()) {
@@ -473,31 +231,24 @@ inline GridRun runGridSpec(engine::GridSpec spec, int argc, char** argv,
   try {
     reply = engine::requestOverSocket(socketPath, request.dump());
   } catch (const Fault& fault) {
-    std::cerr << "error: " << fault.what() << "\n";
-    std::exit(2);
+    exitWithError(fault.what());
   }
   const std::optional<support::JsonValue> doc =
       support::JsonValue::tryParse(reply);
-  if (!doc) {
-    std::cerr << "error: malformed simd reply\n";
-    std::exit(2);
-  }
+  if (!doc) exitWithError("malformed simd reply");
   try {
     const std::string type = doc->at("type").asString();
     if (type == "error") {
-      std::cerr << "error: simd: " << doc->at("message").asString() << "\n";
-      std::exit(2);
+      exitWithError("simd: " + doc->at("message").asString());
     }
     if (type != "grid" || doc->at("v").asUint() != engine::kGridSpecV) {
-      std::cerr << "error: unexpected simd reply type '" << type << "'\n";
-      std::exit(2);
+      exitWithError("unexpected simd reply type '" + type + "'");
     }
     run.grid.workloadCount = doc->at("workloads").asUint();
     run.grid.configCount = doc->at("configs").asUint();
     const auto& cells = doc->at("cells").items();
     if (cells.size() != run.grid.workloadCount * run.grid.configCount) {
-      std::cerr << "error: simd reply cell count mismatch\n";
-      std::exit(2);
+      exitWithError("simd reply cell count mismatch");
     }
     run.grid.cells.reserve(cells.size());
     for (const support::JsonValue& cell : cells) {
@@ -512,8 +263,7 @@ inline GridRun runGridSpec(engine::GridSpec spec, int argc, char** argv,
            << stats.at("simulations").asUint() << " simulations";
     run.footer = footer.str();
   } catch (const Fault& fault) {
-    std::cerr << "error: malformed simd reply: " << fault.what() << "\n";
-    std::exit(2);
+    exitWithError(std::string("malformed simd reply: ") + fault.what());
   }
   return run;
 }

@@ -21,9 +21,10 @@ using namespace riscmp;
 using namespace riscmp::bench;
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
-  spec.configDir = parseConfigDir(argc, argv, uarch::configDir());
+  spec.scale = scaleFlag(flags);
+  spec.configDir = flags.text("config-dir").value_or(uarch::configDir());
   // The paper's Figure 2 and §6.2 analyses cover only the GCC 12.2
   // binaries; skip the expensive windowed/dep observers elsewhere.
   spec.analyses =
@@ -45,8 +46,7 @@ int main(int argc, char** argv) {
     riscvTx2 = uarch::CoreModel::fromFile(spec.configDir + "/riscv-tx2.yaml");
   });
 
-  const GridRun run =
-      runGridSpec(spec, argc, argv, {"--scale=", "--config-dir="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
   engine::mergeIntoBoundary(grid, boundary, std::cout);

@@ -23,25 +23,14 @@
 using namespace riscmp;
 using namespace riscmp::bench;
 
-namespace {
-
-bool haveFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::string socketPath = parsePathFlag(argc, argv, "--socket");
-  const std::string gridPath = parsePathFlag(argc, argv, "--grid");
-  const bool ping = haveFlag(argc, argv, "--ping");
-  const bool stats = haveFlag(argc, argv, "--stats");
-  const bool shutdown = haveFlag(argc, argv, "--shutdown");
-  requireKnownFlagsExact(
-      argc, argv, {"--socket=", "--grid=", "--ping", "--stats", "--shutdown"});
+  Flags flags(argc, argv);
+  const std::string socketPath = flags.path("socket");
+  const std::string gridPath = flags.path("grid");
+  const bool ping = flags.isSet("ping");
+  const bool stats = flags.isSet("stats");
+  const bool shutdown = flags.isSet("shutdown");
+  flags.finish();
 
   const int actions = (ping ? 1 : 0) + (stats ? 1 : 0) + (shutdown ? 1 : 0) +
                       (gridPath.empty() ? 0 : 1);

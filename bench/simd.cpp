@@ -34,11 +34,12 @@ void onSignal(int) { gStop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string socketPath = parsePathFlag(argc, argv, "--socket");
+  Flags flags(argc, argv);
+  const std::string socketPath = flags.path("socket");
   engine::ServiceOptions options;
-  options.jobs = parseJobs(argc, argv);
-  options.storeRoot = parsePathFlag(argc, argv, "--store");
-  requireKnownFlagsExact(argc, argv, {"--socket=", "--store=", "--jobs="});
+  options.jobs = jobsFlag(flags);
+  options.storeRoot = flags.path("store");
+  flags.finish();
   if (socketPath.empty()) {
     std::cerr << "usage: simd --socket=<path> [--store=<dir>] [--jobs=<n>]\n";
     return 2;

@@ -14,10 +14,11 @@ using namespace riscmp;
 using namespace riscmp::bench;
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
+  spec.scale = scaleFlag(flags);
   spec.analyses = engine::kCriticalPath;
-  const GridRun run = runGridSpec(spec, argc, argv, {"--scale="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
 

@@ -22,9 +22,10 @@ using namespace riscmp;
 using namespace riscmp::bench;
 
 int main(int argc, char** argv) {
+  Flags flags(argc, argv);
   engine::GridSpec spec;
-  spec.scale = parseScale(argc, argv);
-  spec.configDir = parseConfigDir(argc, argv, uarch::configDir());
+  spec.scale = scaleFlag(flags);
+  spec.configDir = flags.text("config-dir").value_or(uarch::configDir());
   spec.analyses = engine::kCriticalPath | engine::kScaledCP;
   spec.modelA64 = "tx2";
   spec.modelRv64 = "riscv-tx2";
@@ -42,8 +43,7 @@ int main(int argc, char** argv) {
     riscvTx2 = uarch::CoreModel::fromFile(spec.configDir + "/riscv-tx2.yaml");
   });
 
-  const GridRun run =
-      runGridSpec(spec, argc, argv, {"--scale=", "--config-dir="});
+  const GridRun run = runGridSpec(spec, flags);
   const engine::GridResult& grid = run.grid;
   const engine::GridShape shape = engine::resolveGridShape(spec);
   engine::mergeIntoBoundary(grid, boundary, std::cout);
