@@ -206,9 +206,6 @@ void DependencyResolver::resolveInto(std::span<const RetiredInst> block,
 template <typename Analyzer>
 class ResolvedObserver : public TraceObserver {
  public:
-  void onRetire(const RetiredInst& inst) final {
-    onRetireBlock(std::span<const RetiredInst>(&inst, 1));
-  }
   void onRetireBlock(std::span<const RetiredInst> block) final {
     static_cast<Analyzer&>(*this).dispatchSink(
         [&]<typename Sink>(std::type_identity<Sink>) { walk<Sink>(block); });
@@ -252,9 +249,6 @@ class DependencyFrontEnd final : public TraceObserver {
  public:
   explicit DependencyFrontEnd(const DependencyConsumers& consumers);
 
-  void onRetire(const RetiredInst& inst) override {
-    onRetireBlock(std::span<const RetiredInst>(&inst, 1));
-  }
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
  private:

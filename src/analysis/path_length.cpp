@@ -9,10 +9,6 @@ PathLengthCounter::PathLengthCounter(const Program& program)
   }
 }
 
-void PathLengthCounter::onRetire(const RetiredInst& inst) {
-  onRetireBlock(std::span<const RetiredInst>(&inst, 1));
-}
-
 // Counts in locals and folds them into the members once per block, so no
 // record waits on the previous record's store to the same counter: the
 // total is the block size, kernel counts are added per run of records in

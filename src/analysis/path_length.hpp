@@ -20,7 +20,6 @@ class PathLengthCounter final : public TraceObserver {
   /// overlap — overlap would make per-kernel attribution ambiguous.
   explicit PathLengthCounter(const Program& program);
 
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
   [[nodiscard]] std::uint64_t total() const { return total_; }

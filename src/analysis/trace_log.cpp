@@ -42,24 +42,22 @@ void TraceLogger::writeHeader(std::ostream& out) {
 }
 
 void TraceLogger::onRetireBlock(std::span<const RetiredInst> block) {
-  for (const RetiredInst& inst : block) onRetire(inst);
-}
-
-void TraceLogger::onRetire(const RetiredInst& inst) {
-  const std::uint64_t index = index_++;
-  if (limit_ != 0 && logged_ >= limit_) return;
-  ++logged_;
-  out_ << index << ",0x" << std::hex << inst.pc << std::dec << ','
-       << instGroupName(inst.group) << ',';
-  writeRegs(out_, inst.srcs);
-  out_ << ',';
-  writeRegs(out_, inst.dsts);
-  out_ << ',';
-  writeMem(out_, inst.loads);
-  out_ << ',';
-  writeMem(out_, inst.stores);
-  out_ << ',' << (inst.isBranch ? 1 : 0) << ','
-       << (inst.branchTaken ? 1 : 0) << '\n';
+  for (const RetiredInst& inst : block) {
+    const std::uint64_t index = index_++;
+    if (limit_ != 0 && logged_ >= limit_) continue;
+    ++logged_;
+    out_ << index << ",0x" << std::hex << inst.pc << std::dec << ','
+         << instGroupName(inst.group) << ',';
+    writeRegs(out_, inst.srcs);
+    out_ << ',';
+    writeRegs(out_, inst.dsts);
+    out_ << ',';
+    writeMem(out_, inst.loads);
+    out_ << ',';
+    writeMem(out_, inst.stores);
+    out_ << ',' << (inst.isBranch ? 1 : 0) << ','
+         << (inst.branchTaken ? 1 : 0) << '\n';
+  }
 }
 
 }  // namespace riscmp

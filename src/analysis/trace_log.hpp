@@ -22,7 +22,6 @@ class TraceLogger final : public TraceObserver {
   /// (0 = unlimited) so long simulations can log a prefix only.
   explicit TraceLogger(std::ostream& out, std::uint64_t limit = 0);
 
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
   [[nodiscard]] std::uint64_t logged() const { return logged_; }

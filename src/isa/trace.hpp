@@ -7,10 +7,9 @@
 // analyses.
 //
 // Delivery is block-batched (DESIGN.md §10): the core fills a reusable
-// TraceBlock and hands it to each observer via onRetireBlock. Observers that
-// only implement onRetire keep working — the default onRetireBlock loops —
-// while hot observers override onRetireBlock to amortise the virtual call
-// over kTraceBlockCapacity records.
+// TraceBlock and hands it to each observer via onRetireBlock, the one entry
+// point every observer implements, so the virtual call is amortised over
+// up to kTraceBlockCapacity records.
 #pragma once
 
 #include <cstdint>
@@ -121,16 +120,14 @@ class TraceBlock {
 /// block-full, before every trap/syscall, before any fault propagates out
 /// of run(), and at program end (before onProgramEnd). Records within and
 /// across blocks arrive in exact retirement order; the span and the records
-/// it references are only valid for the duration of the call. The default
-/// onRetireBlock forwards record-by-record to onRetire, so per-instruction
-/// observers need not know about blocks at all.
+/// it references are only valid for the duration of the call.
 class TraceObserver {
  public:
   virtual ~TraceObserver() = default;
-  virtual void onRetire(const RetiredInst& inst) = 0;
-  virtual void onRetireBlock(std::span<const RetiredInst> block) {
-    for (const RetiredInst& inst : block) onRetire(inst);
-  }
+  virtual void onRetireBlock(std::span<const RetiredInst> block) = 0;
+  /// One record, delivered as a block of one (tests feed records this
+  /// way). Virtual only so a tee can intercept single records too.
+  virtual void onRetire(const RetiredInst& inst) { onRetireBlock({&inst, 1}); }
   /// Called once when the simulated program exits.
   virtual void onProgramEnd() {}
 };

@@ -84,28 +84,6 @@ InstGroup fusedGroup(FusionRule rule) {
   return InstGroup::IntSimple;
 }
 
-/// The merged macro-op must fit RetiredInst's inline operand storage
-/// (SmallVector asserts on overflow — there is no heap spill). Every
-/// catalogued rule fits by construction; this check keeps the pass safe
-/// against future rules and adversarial hand-built streams.
-bool mergeFits(const RetiredInst& a, const RetiredInst& b) {
-  SmallVector<Reg, 5> srcs = a.srcs;
-  for (const Reg src : b.srcs) {
-    if (contains(a.dsts, src)) continue;
-    if (contains(srcs, src)) continue;
-    if (srcs.size() == srcs.capacity()) return false;
-    srcs.push_back(src);
-  }
-  SmallVector<Reg, 3> dsts = a.dsts;
-  for (const Reg dst : b.dsts) {
-    if (contains(dsts, dst)) continue;
-    if (dsts.size() == dsts.capacity()) return false;
-    dsts.push_back(dst);
-  }
-  return a.loads.size() + b.loads.size() <= a.loads.capacity() &&
-         a.stores.size() + b.stores.size() <= a.stores.capacity();
-}
-
 }  // namespace
 
 std::string_view fusionRuleName(FusionRule rule) {
@@ -275,15 +253,14 @@ std::optional<FusionRule> FusionPass::match(const RetiredInst& a,
 
   for (std::size_t i = 0; i < kFusionRuleCount; ++i) {
     const auto rule = static_cast<FusionRule>(i);
-    if (!config_.enabled(rule)) continue;
-    if (matches(rule) && mergeFits(a, b)) return rule;
+    if (config_.enabled(rule) && matches(rule)) return rule;
   }
   return std::nullopt;
 }
 
 void FusionPass::emit(const RetiredInst& inst) { out_.push_back(inst); }
 
-void FusionPass::emitFused(const RetiredInst& a, const RetiredInst& b,
+bool FusionPass::emitFused(const RetiredInst& a, const RetiredInst& b,
                            FusionRule rule) {
   RetiredInst macro;
   macro.pc = a.pc;
@@ -293,17 +270,24 @@ void FusionPass::emitFused(const RetiredInst& a, const RetiredInst& b,
 
   // Merged dependence edges: the pair's external interface. The internal
   // edge (B reading what A wrote) disappears — that is the fusion win the
-  // critical-path analyses measure.
-  for (const Reg src : a.srcs) macro.srcs.push_back(src);
+  // critical-path analyses measure. SmallVector has no heap spill, so a
+  // pair whose union would overflow a list stays unfused; every catalogued
+  // rule fits by construction, but hand-built streams need not.
+  macro.srcs = a.srcs;
   for (const Reg src : b.srcs) {
-    if (contains(a.dsts, src)) continue;
-    if (contains(macro.srcs, src)) continue;
+    if (contains(a.dsts, src) || contains(macro.srcs, src)) continue;
+    if (macro.srcs.size() == macro.srcs.capacity()) return false;
     macro.srcs.push_back(src);
   }
-  for (const Reg dst : a.dsts) macro.dsts.push_back(dst);
+  macro.dsts = a.dsts;
   for (const Reg dst : b.dsts) {
     if (contains(macro.dsts, dst)) continue;
+    if (macro.dsts.size() == macro.dsts.capacity()) return false;
     macro.dsts.push_back(dst);
+  }
+  if (a.loads.size() + b.loads.size() > macro.loads.capacity() ||
+      a.stores.size() + b.stores.size() > macro.stores.capacity()) {
+    return false;
   }
   for (const MemAccess& load : a.loads) macro.loads.push_back(load);
   for (const MemAccess& load : b.loads) macro.loads.push_back(load);
@@ -325,6 +309,7 @@ void FusionPass::emitFused(const RetiredInst& a, const RetiredInst& b,
     ++unattributedPairs_;
   }
   out_.push_back(macro);
+  return true;
 }
 
 void FusionPass::process(const RetiredInst& inst) {
@@ -333,8 +318,8 @@ void FusionPass::process(const RetiredInst& inst) {
     pending_ = inst;
     return;
   }
-  if (const std::optional<FusionRule> rule = match(*pending_, inst)) {
-    emitFused(*pending_, inst, *rule);
+  const std::optional<FusionRule> rule = match(*pending_, inst);
+  if (rule && emitFused(*pending_, inst, *rule)) {
     pending_.reset();
     return;
   }
@@ -356,11 +341,6 @@ void FusionPass::forward() {
   }
   output_ += out_.size();
   out_.clear();
-}
-
-void FusionPass::onRetire(const RetiredInst& inst) {
-  process(inst);
-  forward();
 }
 
 void FusionPass::onRetireBlock(std::span<const RetiredInst> block) {

@@ -93,8 +93,9 @@ struct FusionConfig {
 ///  - Order-preserving and greedy left-to-right: a record is held as the
 ///    pending pair candidate until the next record arrives; if an enabled
 ///    rule matches (pending, next) they are emitted as one macro-op (rule
-///    priority = enum order), otherwise pending is emitted unfused and
-///    next becomes the new candidate. Pairs never overlap.
+///    priority = enum order), otherwise — or when a merged operand list
+///    would overflow RetiredInst's inline storage — pending is emitted
+///    unfused and next becomes the new candidate. Pairs never overlap.
 ///  - The pending candidate carries across TraceBlock boundaries, so a
 ///    fusable pair split across two 4096-record blocks still fuses.
 ///  - The pass therefore defers at most ONE record relative to the
@@ -130,7 +131,6 @@ class FusionPass final : public TraceObserver {
   FusionPass(const FusionConfig& config, const Program& program,
              std::vector<TraceObserver*> downstream);
 
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
   void onProgramEnd() override;
 
@@ -164,7 +164,9 @@ class FusionPass final : public TraceObserver {
 
   void process(const RetiredInst& inst);
   void emit(const RetiredInst& inst);
-  void emitFused(const RetiredInst& a, const RetiredInst& b, FusionRule rule);
+  /// Emit the pair as one macro-op and count it; false, with nothing
+  /// emitted, when a merged operand list would overflow.
+  bool emitFused(const RetiredInst& a, const RetiredInst& b, FusionRule rule);
   void forward();
 
   FusionConfig config_;

@@ -30,7 +30,6 @@ class CacheModelAnalyzer final : public TraceObserver {
   /// invalid geometry and ValidationFault for overlapping kernel regions.
   CacheModelAnalyzer(const CacheConfig& config, const Program& program);
 
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
   /// Per-kernel demand-traffic summary. Digests are order-independent
@@ -86,7 +85,6 @@ class CacheModelAnalyzer final : public TraceObserver {
   }
 
  private:
-  void retireOne(const RetiredInst& inst);
   void recordLines(std::uint64_t addr, std::uint32_t size,
                    std::int32_t kernel);
 

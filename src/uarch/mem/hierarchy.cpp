@@ -58,12 +58,6 @@ void checkTlbLevel(std::uint32_t entries, std::uint32_t ways,
   }
 }
 
-std::uint32_t shiftFor(std::uint32_t lineBytes) {
-  std::uint32_t shift = 0;
-  while ((1u << shift) < lineBytes) ++shift;
-  return shift;
-}
-
 }  // namespace
 
 void validateCacheConfig(const CacheConfig& config) {
@@ -122,11 +116,9 @@ AccessOutcome MemoryHierarchy::store(std::uint64_t addr, std::uint32_t size) {
 
 AccessOutcome MemoryHierarchy::accessLines(std::uint64_t addr,
                                            std::uint32_t size, bool write) {
-  const std::uint64_t first = addr >> lineShift_;
-  const std::uint64_t last = (addr + std::max(size, 1u) - 1) >> lineShift_;
-
+  const UnitRange lines = linesOf(addr, size);
   AccessOutcome outcome;
-  for (std::uint64_t line = first; line <= last; ++line) {
+  for (std::uint64_t line = lines.first; line <= lines.last; ++line) {
     const HitLevel level = accessLine(line, write);
     if (level != HitLevel::L1) ++outcome.l1LineMisses;
     if (level == HitLevel::Memory) ++outcome.l2LineMisses;

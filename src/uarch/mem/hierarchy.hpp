@@ -14,9 +14,9 @@
 // hit/miss/write-back/prefetch counters the E11 report aggregates.
 //
 // This header is the one home of the cache rules every analyzer shares:
-// the record walk (MemoryHierarchy::retire), the non-inclusive L2 fill and
-// write-back (fillL2, writeBackToL2), and the footprint-set digest
-// (insertFootprint).
+// the record walk (MemoryHierarchy::retire), the lines or pages a byte
+// access covers (unitsCovered), the non-inclusive L2 fill and write-back
+// (fillL2, writeBackToL2), and the footprint-set digest (insertFootprint).
 #pragma once
 
 #include <algorithm>
@@ -30,6 +30,29 @@
 #include "uarch/mem/prefetcher.hpp"
 
 namespace riscmp::uarch::mem {
+
+/// log2 of a power-of-two unit size (line or page bytes): the shift from
+/// a byte address to its unit number.
+inline std::uint32_t shiftFor(std::uint64_t unitBytes) {
+  std::uint32_t shift = 0;
+  while ((std::uint64_t{1} << shift) < unitBytes) ++shift;
+  return shift;
+}
+
+/// Inclusive range of unit numbers (cache lines or pages).
+struct UnitRange {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+};
+
+/// The units of `1 << shift` bytes that a byte access covers: an access
+/// straddling a boundary covers both sides, and a zero-size access still
+/// touches the unit of its address.
+inline UnitRange unitsCovered(std::uint64_t addr, std::uint32_t size,
+                              std::uint32_t shift) {
+  return {addr >> shift,
+          (addr + std::max<std::uint64_t>(size, 1) - 1) >> shift};
+}
 
 /// Geometry and hit latency of one cache level. Sizes are bytes so tests
 /// can build tiny (sub-KiB) caches; the YAML loader converts `size_kib`.
@@ -190,9 +213,10 @@ class MemoryHierarchy {
   [[nodiscard]] const HierarchyStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
-  /// First line number a byte access touches (for footprint tracking).
-  [[nodiscard]] std::uint64_t lineOf(std::uint64_t addr) const {
-    return addr >> lineShift_;
+  /// Line numbers a byte access touches (for footprint tracking).
+  [[nodiscard]] UnitRange linesOf(std::uint64_t addr,
+                                  std::uint32_t size) const {
+    return unitsCovered(addr, size, lineShift_);
   }
 
  private:

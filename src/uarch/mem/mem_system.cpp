@@ -84,10 +84,20 @@ MemSystemAnalyzer::MemSystemAnalyzer(const CacheConfig& config,
   pageSets_.resize(kernels_.size() + 1);  // last slot = whole program
 }
 
-void MemSystemAnalyzer::onRetire(const RetiredInst& inst) { retireOne(inst); }
-
 void MemSystemAnalyzer::onRetireBlock(std::span<const RetiredInst> block) {
-  for (const RetiredInst& inst : block) retireOne(inst);
+  for (const RetiredInst& inst : block) {
+    ++instructions_;
+    const std::int32_t kernel = kernelMap_.slotOf(inst);
+    if (kernel >= 0) ++kernels_[static_cast<std::size_t>(kernel)].instructions;
+
+    // The single-core replica feeds the MSHR/bandwidth bounds; every access
+    // it walks is also translated and fed to the shared-L2 scaling model.
+    hierarchy_.retire(inst, [&](const MemAccess& access, bool write,
+                                const AccessOutcome&) {
+      translate(access, kernel);
+      accessSharedLines(access, write);
+    });
+  }
 }
 
 void MemSystemAnalyzer::translate(const MemAccess& access,
@@ -96,10 +106,8 @@ void MemSystemAnalyzer::translate(const MemAccess& access,
       kernel < 0 ? nullptr : &kernels_[static_cast<std::size_t>(kernel)];
   // An access straddling a page boundary looks up every page it covers
   // (the straddle test pins this at exactly two).
-  const std::uint64_t firstPage = tlb_.pageOf(access.addr);
-  const std::uint64_t lastPage =
-      tlb_.pageOf(access.addr + std::max<std::uint64_t>(access.size, 1) - 1);
-  for (std::uint64_t page = firstPage; page <= lastPage; ++page) {
+  const UnitRange pages = tlb_.pagesOf(access.addr, access.size);
+  for (std::uint64_t page = pages.first; page <= pages.last; ++page) {
     const Tlb::Outcome outcome = tlb_.access(page);
     insertFootprint(pageSets_.back(), page, footprintPages_, pageSetDigest_);
     if (stats == nullptr) continue;
@@ -114,10 +122,8 @@ void MemSystemAnalyzer::accessSharedLines(const MemAccess& access,
                                           bool write) {
   // Round-robin interleave N copies of each line at disjoint per-core
   // offsets (core order fixed -> deterministic).
-  const std::uint64_t firstLine = hierarchy_.lineOf(access.addr);
-  const std::uint64_t lastLine = hierarchy_.lineOf(
-      access.addr + std::max<std::uint64_t>(access.size, 1) - 1);
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
+  const UnitRange lines = hierarchy_.linesOf(access.addr, access.size);
+  for (std::uint64_t line = lines.first; line <= lines.last; ++line) {
     const bool l1Hit = coreL1_.access(line, write).hit;
     const Cache::Eviction victim =
         l1Hit ? Cache::Eviction{}
@@ -126,20 +132,6 @@ void MemSystemAnalyzer::accessSharedLines(const MemAccess& access,
       sharedHierarchy.accessLine(config_, line, l1Hit, victim);
     }
   }
-}
-
-void MemSystemAnalyzer::retireOne(const RetiredInst& inst) {
-  ++instructions_;
-  const std::int32_t kernel = kernelMap_.slotOf(inst);
-  if (kernel >= 0) ++kernels_[static_cast<std::size_t>(kernel)].instructions;
-
-  // The single-core replica feeds the MSHR/bandwidth bounds; every access
-  // it walks is also translated and fed to the shared-L2 scaling model.
-  hierarchy_.retire(inst, [&](const MemAccess& access, bool write,
-                              const AccessOutcome&) {
-    translate(access, kernel);
-    accessSharedLines(access, write);
-  });
 }
 
 MemSummary MemSystemAnalyzer::summary() const {

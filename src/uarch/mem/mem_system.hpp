@@ -115,7 +115,6 @@ class MemSystemAnalyzer final : public TraceObserver {
   MemSystemAnalyzer(const CacheConfig& config, const Program& program,
                     std::span<const unsigned> coreCounts);
 
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
   /// Finalized summary with the occupancy bounds computed from the
@@ -148,7 +147,6 @@ class MemSystemAnalyzer final : public TraceObserver {
                     bool l1Hit, const Cache::Eviction& victim);
   };
 
-  void retireOne(const RetiredInst& inst);
   void translate(const MemAccess& access, std::int32_t kernel);
   void accessSharedLines(const MemAccess& access, bool write);
 

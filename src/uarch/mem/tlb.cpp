@@ -1,15 +1,6 @@
 #include "uarch/mem/tlb.hpp"
 
 namespace riscmp::uarch::mem {
-namespace {
-
-std::uint32_t shiftFor(std::uint32_t pageBytes) {
-  std::uint32_t shift = 0;
-  while ((std::uint64_t{1} << shift) < pageBytes) ++shift;
-  return shift;
-}
-
-}  // namespace
 
 Tlb::Tlb(const TlbConfig& config)
     : config_(config),

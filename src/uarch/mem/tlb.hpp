@@ -54,9 +54,10 @@ class Tlb {
   [[nodiscard]] const TlbStats& stats() const { return stats_; }
   [[nodiscard]] const TlbConfig& config() const { return config_; }
 
-  /// Page number of a byte address under this TLB's page size.
-  [[nodiscard]] std::uint64_t pageOf(std::uint64_t addr) const {
-    return addr >> pageShift_;
+  /// Page numbers a byte access touches under this TLB's page size.
+  [[nodiscard]] UnitRange pagesOf(std::uint64_t addr,
+                                  std::uint32_t size) const {
+    return unitsCovered(addr, size, pageShift_);
   }
 
 

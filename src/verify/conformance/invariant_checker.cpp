@@ -54,76 +54,70 @@ void TraceInvariantChecker::violate(const RetiredInst& inst,
   throw ValidationFault(out.str());
 }
 
-void TraceInvariantChecker::onRetire(const RetiredInst& inst) {
-  retireOne(inst);
-}
-
 void TraceInvariantChecker::onRetireBlock(
     std::span<const RetiredInst> block) {
-  for (const RetiredInst& inst : block) retireOne(inst);
-}
+  for (const RetiredInst& inst : block) {
+    if (options_.checkOperandsDefined) {
+      // Sources are checked before destinations take effect, so an
+      // instruction reading its own output (accumulators, movk) still
+      // requires a prior definition.
+      for (const Reg src : inst.srcs) {
+        ++stats_.operandChecks;
+        if (!defined_.test(src.dense())) {
+          violate(inst, "source register " + regName(src) +
+                            " read before any definition");
+        }
+      }
+      for (const Reg dst : inst.dsts) defined_.set(dst.dense());
+    }
 
-void TraceInvariantChecker::retireOne(const RetiredInst& inst) {
-  if (options_.checkOperandsDefined) {
-    // Sources are checked before destinations take effect, so an
-    // instruction reading its own output (accumulators, movk) still
-    // requires a prior definition.
-    for (const Reg src : inst.srcs) {
-      ++stats_.operandChecks;
-      if (!defined_.test(src.dense())) {
-        violate(inst, "source register " + regName(src) +
-                          " read before any definition");
+    if (options_.checkMemoryBounds) {
+      const auto checkAccess = [&](const MemAccess& access, const char* what) {
+        ++stats_.memoryChecks;
+        if (access.size != 1 && access.size != 2 && access.size != 4 &&
+            access.size != 8) {
+          violate(inst, std::string(what) + " record has invalid size " +
+                            std::to_string(access.size));
+        }
+        if (access.addr < arenaBase_ || access.addr + access.size > arenaEnd_) {
+          violate(inst, std::string(what) + " at " +
+                            fault_detail::hexAddr(access.addr) + " size " +
+                            std::to_string(access.size) +
+                            " outside the mapped arena [" +
+                            fault_detail::hexAddr(arenaBase_) + ", " +
+                            fault_detail::hexAddr(arenaEnd_) + ")");
+        }
+      };
+      for (const MemAccess& load : inst.loads) checkAccess(load, "load");
+      for (const MemAccess& store : inst.stores) checkAccess(store, "store");
+    }
+
+    if (options_.checkBranchTargets && inst.isBranch && inst.branchTaken) {
+      ++stats_.branchChecks;
+      const std::uint64_t target = inst.branchTarget;
+      if ((target & 3) != 0) {
+        violate(inst, "taken branch to misaligned target " +
+                          fault_detail::hexAddr(target));
+      }
+      const std::uint64_t codeBase = program_.codeBase;
+      const std::uint64_t codeEnd = program_.codeEnd();
+      if (target < codeBase || target >= codeEnd) {
+        violate(inst, "taken branch to " + fault_detail::hexAddr(target) +
+                          " outside the code image [" +
+                          fault_detail::hexAddr(codeBase) + ", " +
+                          fault_detail::hexAddr(codeEnd) + ")");
+      }
+      if (const Symbol* kernel = program_.kernelAt(inst.pc)) {
+        if (program_.kernelAt(target) != kernel) {
+          violate(inst, "branch in kernel '" + kernel->name + "' to " +
+                            fault_detail::hexAddr(target) +
+                            " escapes the kernel region");
+        }
       }
     }
-    for (const Reg dst : inst.dsts) defined_.set(dst.dense());
+
+    ++stats_.retired;
   }
-
-  if (options_.checkMemoryBounds) {
-    const auto checkAccess = [&](const MemAccess& access, const char* what) {
-      ++stats_.memoryChecks;
-      if (access.size != 1 && access.size != 2 && access.size != 4 &&
-          access.size != 8) {
-        violate(inst, std::string(what) + " record has invalid size " +
-                          std::to_string(access.size));
-      }
-      if (access.addr < arenaBase_ || access.addr + access.size > arenaEnd_) {
-        violate(inst, std::string(what) + " at " +
-                          fault_detail::hexAddr(access.addr) + " size " +
-                          std::to_string(access.size) +
-                          " outside the mapped arena [" +
-                          fault_detail::hexAddr(arenaBase_) + ", " +
-                          fault_detail::hexAddr(arenaEnd_) + ")");
-      }
-    };
-    for (const MemAccess& load : inst.loads) checkAccess(load, "load");
-    for (const MemAccess& store : inst.stores) checkAccess(store, "store");
-  }
-
-  if (options_.checkBranchTargets && inst.isBranch && inst.branchTaken) {
-    ++stats_.branchChecks;
-    const std::uint64_t target = inst.branchTarget;
-    if ((target & 3) != 0) {
-      violate(inst, "taken branch to misaligned target " +
-                        fault_detail::hexAddr(target));
-    }
-    const std::uint64_t codeBase = program_.codeBase;
-    const std::uint64_t codeEnd = program_.codeEnd();
-    if (target < codeBase || target >= codeEnd) {
-      violate(inst, "taken branch to " + fault_detail::hexAddr(target) +
-                        " outside the code image [" +
-                        fault_detail::hexAddr(codeBase) + ", " +
-                        fault_detail::hexAddr(codeEnd) + ")");
-    }
-    if (const Symbol* kernel = program_.kernelAt(inst.pc)) {
-      if (program_.kernelAt(target) != kernel) {
-        violate(inst, "branch in kernel '" + kernel->name + "' to " +
-                          fault_detail::hexAddr(target) +
-                          " escapes the kernel region");
-      }
-    }
-  }
-
-  ++stats_.retired;
 }
 
 void checkRetiredConsistency(std::uint64_t runInstructions,

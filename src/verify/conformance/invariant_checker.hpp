@@ -69,14 +69,12 @@ class TraceInvariantChecker final : public TraceObserver {
   /// delivery the violation message still names the exact violating pc and
   /// retired index; the throw surfaces when the core flushes the block the
   /// record belongs to (block-full, trap/syscall, fault, or program end).
-  void onRetire(const RetiredInst& inst) override;
   void onRetireBlock(std::span<const RetiredInst> block) override;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t retired() const { return stats_.retired; }
 
  private:
-  void retireOne(const RetiredInst& inst);
   [[noreturn]] void violate(const RetiredInst& inst,
                             const std::string& what) const;
 

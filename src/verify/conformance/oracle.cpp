@@ -51,33 +51,31 @@ class TraceRecorder final : public TraceObserver {
   explicit TraceRecorder(const Program& program) : program_(program) {}
 
   void onRetireBlock(std::span<const RetiredInst> block) override {
-    for (const RetiredInst& inst : block) onRetire(inst);
-  }
-
-  void onRetire(const RetiredInst& inst) override {
-    digest_.u64(inst.pc);
-    digest_.u64(inst.encoding);
-    digest_.u8(static_cast<std::uint8_t>(inst.group));
-    digest_.u8(static_cast<std::uint8_t>(inst.srcs.size()));
-    for (const Reg src : inst.srcs) digest_.u8(src.dense());
-    digest_.u8(static_cast<std::uint8_t>(inst.dsts.size()));
-    for (const Reg dst : inst.dsts) digest_.u8(dst.dense());
-    for (const MemAccess& load : inst.loads) {
-      digest_.u64(load.addr);
-      digest_.u8(load.size);
-    }
-    const Symbol* kernel =
-        inst.stores.empty() ? nullptr : program_.kernelAt(inst.pc);
-    for (const MemAccess& store : inst.stores) {
-      digest_.u64(store.addr);
-      digest_.u8(store.size);
-      stores_.push_back(
-          StoreRec{kernel != nullptr ? kernel->name : std::string(),
-                   store.addr, store.size});
-    }
-    if (inst.isBranch) {
-      digest_.u8(inst.branchTaken ? 2 : 1);
-      digest_.u64(inst.branchTarget);
+    for (const RetiredInst& inst : block) {
+      digest_.u64(inst.pc);
+      digest_.u64(inst.encoding);
+      digest_.u8(static_cast<std::uint8_t>(inst.group));
+      digest_.u8(static_cast<std::uint8_t>(inst.srcs.size()));
+      for (const Reg src : inst.srcs) digest_.u8(src.dense());
+      digest_.u8(static_cast<std::uint8_t>(inst.dsts.size()));
+      for (const Reg dst : inst.dsts) digest_.u8(dst.dense());
+      for (const MemAccess& load : inst.loads) {
+        digest_.u64(load.addr);
+        digest_.u8(load.size);
+      }
+      const Symbol* kernel =
+          inst.stores.empty() ? nullptr : program_.kernelAt(inst.pc);
+      for (const MemAccess& store : inst.stores) {
+        digest_.u64(store.addr);
+        digest_.u8(store.size);
+        stores_.push_back(
+            StoreRec{kernel != nullptr ? kernel->name : std::string(),
+                     store.addr, store.size});
+      }
+      if (inst.isBranch) {
+        digest_.u8(inst.branchTaken ? 2 : 1);
+        digest_.u64(inst.branchTarget);
+      }
     }
   }
 

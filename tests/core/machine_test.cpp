@@ -195,11 +195,13 @@ TEST(Machine, WildMemoryAccessGetsContext) {
 
 class CountingObserver : public TraceObserver {
  public:
-  void onRetire(const RetiredInst& inst) override {
-    ++count;
-    if (inst.isBranch) ++branches;
-    loads += inst.loads.size();
-    stores += inst.stores.size();
+  void onRetireBlock(std::span<const RetiredInst> block) override {
+    for (const RetiredInst& inst : block) {
+      ++count;
+      if (inst.isBranch) ++branches;
+      loads += inst.loads.size();
+      stores += inst.stores.size();
+    }
   }
   void onProgramEnd() override { ended = true; }
 
@@ -234,29 +236,23 @@ TEST(Machine, ObserversSeeEveryRetirement) {
   EXPECT_TRUE(observer.ended);
 }
 
-class LegacyRecordingObserver : public TraceObserver {
- public:
-  void onRetire(const RetiredInst& inst) override { stream.push_back(inst); }
-  std::vector<RetiredInst> stream;
-};
-
 class BlockRecordingObserver : public TraceObserver {
  public:
   void onRetire(const RetiredInst&) override {
-    ADD_FAILURE() << "block-overriding observer got a per-record call";
+    ADD_FAILURE() << "the core made a per-record call";
   }
   void onRetireBlock(std::span<const RetiredInst> block) override {
-    ++blocks;
+    blockSizes.push_back(block.size());
     stream.insert(stream.end(), block.begin(), block.end());
   }
   std::vector<RetiredInst> stream;
-  std::uint64_t blocks = 0;
+  std::vector<std::size_t> blockSizes;
 };
 
-// A per-instruction observer (default onRetireBlock loops onRetire) and a
-// block-overriding observer attached to the same run must see the exact
-// same record stream — batching is a delivery detail, not a semantic one.
-TEST(Machine, LegacyAndBlockObserversSeeIdenticalStreams) {
+// Blocks are the one delivery path: the core never makes a per-record
+// call, and every observer attached to a run sees the same records cut
+// into the same blocks.
+TEST(Machine, ObserversOfOneRunSeeIdenticalBlocks) {
   Program program = rv64Program(
       "  li a1, 0x20000\n"
       "  li a2, 200\n"
@@ -270,17 +266,33 @@ TEST(Machine, LegacyAndBlockObserversSeeIdenticalStreams) {
   program.bssBase = 0x20000;
   program.bssSize = 64;
   Machine machine(program);
-  LegacyRecordingObserver legacy;
-  BlockRecordingObserver block;
-  machine.addObserver(legacy);
-  machine.addObserver(block);
+  BlockRecordingObserver first;
+  BlockRecordingObserver second;
+  machine.addObserver(first);
+  machine.addObserver(second);
   const RunResult result = machine.run();
-  ASSERT_EQ(legacy.stream.size(), result.instructions);
-  ASSERT_EQ(block.stream.size(), result.instructions);
-  EXPECT_GE(block.blocks, 1u);
-  for (std::size_t i = 0; i < legacy.stream.size(); ++i) {
-    EXPECT_EQ(legacy.stream[i], block.stream[i]) << "record " << i;
-  }
+  ASSERT_EQ(first.stream.size(), result.instructions);
+  EXPECT_FALSE(first.blockSizes.empty());
+  EXPECT_EQ(first.blockSizes, second.blockSizes);
+  EXPECT_EQ(first.stream, second.stream);
+}
+
+// The per-record entry point is a block of one, so an observer that
+// implements only onRetireBlock still accepts single records.
+TEST(TraceObserver, OnRetireDeliversABlockOfOne) {
+  struct BlockOnly : TraceObserver {
+    void onRetireBlock(std::span<const RetiredInst> block) override {
+      blocks.emplace_back(block.begin(), block.end());
+    }
+    std::vector<std::vector<RetiredInst>> blocks;
+  } observer;
+  RetiredInst inst;
+  inst.pc = 0x1000;
+  inst.srcs.push_back(Reg::gp(5));
+  observer.onRetire(inst);
+  ASSERT_EQ(observer.blocks.size(), 1u);
+  ASSERT_EQ(observer.blocks[0].size(), 1u);
+  EXPECT_EQ(observer.blocks[0][0], inst);
 }
 
 // Every in-image retirement carries the static-instruction index of its
@@ -294,10 +306,10 @@ TEST(Machine, RetiredRecordsCarryStaticIndex) {
       "  li a7, 93\n"
       "  ecall\n");
   Machine machine(program);
-  LegacyRecordingObserver legacy;
-  machine.addObserver(legacy);
+  BlockRecordingObserver recorder;
+  machine.addObserver(recorder);
   machine.run();
-  for (const RetiredInst& inst : legacy.stream) {
+  for (const RetiredInst& inst : recorder.stream) {
     ASSERT_NE(inst.staticIndex, RetiredInst::kNoStaticIndex);
     EXPECT_EQ(inst.pc, program.codeBase + 4ull * inst.staticIndex);
   }
@@ -318,7 +330,6 @@ TEST(Machine, MemoryGrowsToCoverProgram) {
 // stream and where the core cut it into blocks.
 class BlockLog : public TraceObserver {
  public:
-  void onRetire(const RetiredInst&) override {}
   void onRetireBlock(std::span<const RetiredInst> block) override {
     stream.insert(stream.end(), block.begin(), block.end());
     blockEnds.push_back(stream.size());
@@ -451,7 +462,6 @@ class DeadlineSetter : public TraceObserver {
  public:
   DeadlineSetter(std::atomic<std::uint32_t>& flag, std::uint64_t at)
       : flag_(flag), at_(at) {}
-  void onRetire(const RetiredInst&) override {}
   void onRetireBlock(std::span<const RetiredInst> block) override {
     seen += block.size();
     if (seen >= at_) flag_.store(77, std::memory_order_relaxed);

@@ -386,9 +386,11 @@ class PrivateL1Reference final : public TraceObserver {
     }
   }
 
-  void onRetire(const RetiredInst& inst) override {
-    for (const MemAccess& access : inst.loads) accessBytes(access, false);
-    for (const MemAccess& access : inst.stores) accessBytes(access, true);
+  void onRetireBlock(std::span<const RetiredInst> block) override {
+    for (const RetiredInst& inst : block) {
+      for (const MemAccess& access : inst.loads) accessBytes(access, false);
+      for (const MemAccess& access : inst.stores) accessBytes(access, true);
+    }
   }
 
   [[nodiscard]] std::vector<ScalingPoint> scaling() const {
