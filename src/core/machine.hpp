@@ -66,8 +66,8 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   /// Register an observer; it receives every retired instruction, delivered
-  /// in blocks of up to kTraceBlockCapacity records (TraceObserver's
-  /// onRetireBlock — the default forwards to onRetire record by record).
+  /// in blocks of up to kTraceBlockCapacity records through
+  /// TraceObserver::onRetireBlock, the one delivery path.
   /// The core flushes the pending block on block-full, before every
   /// trap/syscall, before any fault propagates out of run(), and at program
   /// end, so observers always see the complete retired prefix before any

@@ -24,6 +24,14 @@
 namespace riscmp::engine {
 namespace {
 
+/// Kill the calling (child) process with SIGSEGV. The default action is
+/// restored first: under ASan the sanitizer's own handler would turn the
+/// signal into a plain exit, and the tests assert death by the signal.
+void dieBySegfault() {
+  std::signal(SIGSEGV, SIG_DFL);
+  std::raise(SIGSEGV);
+}
+
 namespace fs = std::filesystem;
 
 std::vector<Config> gcc12Pair() {
@@ -114,7 +122,7 @@ TEST(ProcessWorker, CapturesSegfaultAsCrashedWithSignal) {
   runForkedCells(
       2, options,
       [](std::size_t task) -> std::string {
-        if (task == 0) std::raise(SIGSEGV);
+        if (task == 0) dieBySegfault();
         return "ok";
       },
       [&](std::size_t task, const WorkerOutcome& outcome) {
@@ -198,7 +206,7 @@ TEST(ProcessWorker, FailFastSkipsTasksAfterFirstFailure) {
   const std::vector<std::size_t> skipped = runForkedCells(
       4, options,
       [](std::size_t task) -> std::string {
-        if (task == 0) std::raise(SIGSEGV);
+        if (task == 0) dieBySegfault();
         return "ok";
       },
       [&](std::size_t task, const WorkerOutcome& outcome) {
@@ -242,7 +250,7 @@ TEST(Resilience, ProcessIsolationCapturesCrashAndContinues) {
   options.analyses = kPathLength;
   options.isolate = IsolationMode::Process;
   options.cellSetup = [](const CellKey& key) {
-    if (key.workload == "crashy") std::raise(SIGSEGV);
+    if (key.workload == "crashy") dieBySegfault();
   };
   ExperimentEngine eng(options);
   std::vector<workloads::WorkloadSpec> suite;
@@ -277,7 +285,7 @@ TEST(Resilience, ProcessIsolationRetriesTransientCrash) {
   options.cellSetup = [marker](const CellKey& key) {
     if (key.workload == "flaky" && !fs::exists(marker)) {
       std::ofstream(marker) << "x";
-      std::raise(SIGSEGV);
+      dieBySegfault();
     }
   };
   ExperimentEngine eng(options);
